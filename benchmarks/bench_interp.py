@@ -19,12 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.regress import (
-    WORKLOADS,
-    baseline_path,
-    fingerprint_run,
-    measure_ops,
-)
+from repro.bench.gate import baseline_path
+from repro.bench.regress import GATE, WORKLOADS, fingerprint_run, measure_ops
 
 BASELINE_DIR = Path(__file__).parent / "baselines"
 
@@ -61,7 +57,7 @@ def test_interp_ops_per_sec(benchmark, name):
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_interp_fingerprint_matches_baseline(benchmark, name):
     """Simulated metrics must match the recorded baseline exactly."""
-    path = baseline_path(BASELINE_DIR, name)
+    path = baseline_path(GATE, BASELINE_DIR, name)
     if not path.exists():
         pytest.skip(f"no baseline at {path}; run: python -m repro.bench regress --record")
     baseline = json.loads(path.read_text())

@@ -11,8 +11,10 @@ Modes::
 
 The report is bit-deterministic (seeded simulation, no wall-clock), so
 ``--check`` compares the re-measured JSON document to
-``benchmarks/baselines/ABLATION_quick.json`` with ``==`` and fails on
-any drift, printing the first differing paths.
+``benchmarks/baselines/ABLATION_quick.json`` (``ABLATION_full.json``
+without ``--quick``) with ``==`` and fails on any drift, printing the
+first differing paths; :mod:`repro.bench.gate` does the recording and
+checking.
 """
 
 from __future__ import annotations
@@ -25,14 +27,9 @@ from typing import List, Optional
 
 from repro.ablate.matrix import applicable_components, generate_matrix
 from repro.ablate.registry import COMPONENTS
-from repro.ablate.report import (
-    DEFAULT_BASELINE_DIR,
-    build_report,
-    check_baseline,
-    record_baseline,
-    render_markdown,
-    write_artifacts,
-)
+from repro.ablate.report import GATE, build_report, render_markdown, write_artifacts
+from repro.bench import gate
+from repro.bench.gate import DEFAULT_BASELINE_DIR
 
 
 def _list_text(quick: bool) -> str:
@@ -106,30 +103,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.legacy:
         return _run_legacy()
-    if args.record:
-        path = record_baseline(args.baseline_dir, args.quick)
-        print(f"recorded {path}")
-        if args.out_json or args.out_md:
-            report = json.loads(path.read_text())
+    if args.record or args.check:
+        mode = "quick" if args.quick else "full"
+        if args.record:
+            [path] = gate.record(GATE, args.baseline_dir, [mode])
+            print(f"recorded {path}")
+            report, rc = json.loads(path.read_text()), 0
+        else:
+            result = gate.check(GATE, args.baseline_dir, [mode])
+            report = result["benches"][mode].get("measured")
+            rc = gate.print_report(GATE, result)
+        if report is not None:
             write_artifacts(report, args.out_json, args.out_md)
-        return 0
-    if args.check:
-        result = check_baseline(args.baseline_dir, args.quick)
-        if "report" in result and (args.out_json or args.out_md):
-            write_artifacts(result["report"], args.out_json, args.out_md)
-        status = result["status"]
-        stream = sys.stdout if result["ok"] else sys.stderr
-        print(f"ablation baseline: {status}", file=stream)
-        if status == "mismatch":
-            for diff in result["diff"]:  # type: ignore[union-attr]
-                print(
-                    f"  {diff['path']}: expected {diff['expected']!r}, "
-                    f"got {diff['got']!r}",
-                    file=sys.stderr,
-                )
-        elif status == "missing-baseline":
-            print(f"  hint: {result['hint']}", file=sys.stderr)
-        return 0 if result["ok"] else 1
+        return rc
 
     report = build_report(args.quick)
     write_artifacts(report, args.out_json, args.out_md)

@@ -17,7 +17,6 @@ the same tree produce byte-identical documents — enforced in CI by
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -36,19 +35,13 @@ from repro.ablate.matrix import (
 from repro.ablate.registry import BASELINE, COMPONENTS, component
 from repro.ablate.runner import CellRun, run_cell
 from repro.ablate.score import WEIGHTS, rank_components, score_pair
+from repro.bench.gate import Gate, write_json
 
 SCHEMA_VERSION = 1
 
 #: Decimal places kept in the JSON report (exact arithmetic upstream;
 #: rounding only keeps the checked-in baseline diffable).
 ROUND_DIGITS = 9
-
-DEFAULT_BASELINE_DIR = Path("benchmarks") / "baselines"
-
-
-def baseline_path(baseline_dir: Path, quick: bool) -> Path:
-    name = "ABLATION_quick.json" if quick else "ABLATION_full.json"
-    return Path(baseline_dir) / name
 
 
 def run_matrix(
@@ -138,75 +131,16 @@ def _rounded(obj):
     return obj
 
 
-def dumps(report: Dict[str, object]) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-# -- record / check gate ------------------------------------------------------
-
-
-def record_baseline(baseline_dir: Path, quick: bool) -> Path:
-    path = baseline_path(baseline_dir, quick)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dumps(build_report(quick)))
-    return path
-
-
-def check_baseline(baseline_dir: Path, quick: bool) -> Dict[str, object]:
-    """Re-run the matrix and compare exactly (no tolerance).
-
-    Every cell is a pure function of seeds, so any diff is a semantic
-    change in a registered mechanism (or the matrix itself) — never
-    noise.  Returns ``{"ok": bool, ...}`` with a path-level diff.
-    """
-    path = baseline_path(baseline_dir, quick)
-    out: Dict[str, object] = {"baseline": str(path), "ok": True}
-    if not path.exists():
-        out["ok"] = False
-        out["status"] = "missing-baseline"
-        out["hint"] = "run: python -m repro.ablate --quick --record"
-        return out
-    expected = json.loads(path.read_text())
-    measured = json.loads(dumps(build_report(quick)))
-    out["report"] = measured
-    if measured == expected:
-        out["status"] = "ok"
-        return out
-    out["ok"] = False
-    out["status"] = "mismatch"
-    out["diff"] = _diff_paths(expected, measured)
-    return out
-
-
-_MAX_DIFF_PATHS = 40
-
-
-def _diff_paths(expected, got, prefix: str = "") -> List[Dict[str, object]]:
-    """The first ``_MAX_DIFF_PATHS`` leaf paths where the documents differ."""
-    diffs: List[Dict[str, object]] = []
-    _walk_diff(expected, got, prefix, diffs)
-    return diffs[:_MAX_DIFF_PATHS]
-
-
-def _walk_diff(expected, got, prefix: str, diffs: List[Dict[str, object]]) -> None:
-    if len(diffs) >= _MAX_DIFF_PATHS:
-        return
-    if isinstance(expected, dict) and isinstance(got, dict):
-        for key in sorted(set(expected) | set(got)):
-            path = f"{prefix}.{key}" if prefix else str(key)
-            if key not in expected:
-                diffs.append({"path": path, "expected": None, "got": got[key]})
-            elif key not in got:
-                diffs.append({"path": path, "expected": expected[key], "got": None})
-            elif expected[key] != got[key]:
-                _walk_diff(expected[key], got[key], path, diffs)
-        return
-    if isinstance(expected, list) and isinstance(got, list) and len(expected) == len(got):
-        for i, (e, g) in enumerate(zip(expected, got)):
-            if e != g:
-                _walk_diff(e, g, f"{prefix}[{i}]", diffs)
-        return
-    diffs.append({"path": prefix, "expected": expected, "got": got})
+#: ``--record``/``--check`` of ``python -m repro.ablate``; the benches are
+#: the two matrix modes, selected on its command line by ``--quick``.
+GATE = Gate(
+    name="ablate",
+    prefix="ABLATION_",
+    benches=("quick", "full"),
+    measure=lambda mode: build_report(quick=mode == "quick"),
+    command="python -m repro.ablate",
+    select=lambda mode: ("--quick",) if mode == "quick" else (),
+)
 
 
 # -- markdown rendering -------------------------------------------------------
@@ -265,8 +199,7 @@ def write_artifacts(
     out_md: Optional[Path] = None,
 ) -> None:
     if out_json is not None:
-        out_json.parent.mkdir(parents=True, exist_ok=True)
-        out_json.write_text(dumps(report))
+        write_json(out_json, report)
     if out_md is not None:
         out_md.parent.mkdir(parents=True, exist_ok=True)
         out_md.write_text(render_markdown(report) + "\n")

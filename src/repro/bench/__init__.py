@@ -19,16 +19,8 @@ from repro.bench.stream_figs import fig07, fig10, fig11, fig12
 from repro.bench.hashmap_figs import fig09, fig13
 from repro.bench.app_figs import fig08, fig14, fig15, fig16, fig17a, fig17b
 from repro.bench.compile_costs import compile_costs
-from repro.bench.regress import (
-    check_baselines,
-    measure_bench,
-    record_baselines,
-)
 
 __all__ = [
-    "check_baselines",
-    "measure_bench",
-    "record_baselines",
     "CPU_HZ",
     "ExperimentResult",
     "Series",

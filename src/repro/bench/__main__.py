@@ -6,7 +6,7 @@ Usage::
     python -m repro.bench table1 fig07   # several
     python -m repro.bench --list         # show what exists
     python -m repro.bench --all          # everything (a few seconds)
-    python -m repro.bench regress --check   # baseline gate (see regress.py)
+    python -m repro.bench regress --check   # a baseline gate (see SUBCOMMANDS)
     python -m repro.bench ablate --quick    # ablation matrix (see repro.ablate)
 
 The original artifact exposes ``make trackfm_fig14a`` etc.; this is the
@@ -16,6 +16,7 @@ equivalent entry point for the reproduction.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import Callable, Dict
 
@@ -49,6 +50,7 @@ from repro.bench.ablations import (
     ablation_prefetch_depth,
     ablation_state_table,
 )
+from repro.errors import RuntimeConfigError
 
 EXPERIMENTS: Dict[str, Callable] = {
     "table1": table1,
@@ -80,35 +82,24 @@ EXPERIMENTS: Dict[str, Callable] = {
 }
 
 
+#: Subcommands by module, each imported only when run.  Every one is a
+#: baseline gate (``--record``/``--check``, see ``repro.bench.gate``).
+SUBCOMMANDS: Dict[str, str] = {
+    "regress": "repro.bench.regress",
+    "pprefetch": "repro.bench.prefetch_regress",
+    "serving": "repro.bench.serving",
+    "hybrid": "repro.bench.hybrid",
+    "ablate": "repro.ablate.__main__",
+}
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "regress":
-        # The baseline gate has its own flags (--record/--check/...);
-        # hand the rest of the command line straight to it.
-        from repro.bench.regress import main as regress_main
-
-        return regress_main(argv[1:])
-    if argv and argv[0] == "pprefetch":
-        # Programmed-prefetch baseline gate: same dispatch convention.
-        from repro.bench.prefetch_regress import main as pprefetch_main
-
-        return pprefetch_main(argv[1:])
-    if argv and argv[0] == "serving":
-        # Sharded serving-layer curves + baseline gate: same convention.
-        from repro.bench.serving import main as serving_main
-
-        return serving_main(argv[1:])
-    if argv and argv[0] == "hybrid":
-        # Adaptive-hybrid matrix + baseline gate: same convention.
-        from repro.bench.hybrid import main as hybrid_main
-
-        return hybrid_main(argv[1:])
-    if argv and argv[0] == "ablate":
-        # Ablation matrix + ranked importance report: same convention.
-        from repro.ablate.__main__ import main as ablate_main
-
-        return ablate_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        # A subcommand has its own flags; hand it the rest of the line.
+        module = importlib.import_module(SUBCOMMANDS[argv[0]])
+        return module.main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate the paper's tables and figures.",
@@ -156,19 +147,22 @@ def main(argv=None) -> int:
 
     try:
         with ExitStack() as stack:
-            if args.faults is not None:
-                from repro.net.faults import installed_fault_plan, parse_fault_spec
+            try:
+                if args.faults is not None:
+                    from repro.net.faults import installed_fault_plan, parse_fault_spec
 
-                stack.enter_context(installed_fault_plan(parse_fault_spec(args.faults)))
-            if args.integrity is not None:
-                from repro.integrity import (
-                    installed_integrity_config,
-                    parse_integrity_spec,
-                )
+                    stack.enter_context(installed_fault_plan(parse_fault_spec(args.faults)))
+                if args.integrity is not None:
+                    from repro.integrity import (
+                        installed_integrity_config,
+                        parse_integrity_spec,
+                    )
 
-                stack.enter_context(
-                    installed_integrity_config(parse_integrity_spec(args.integrity))
-                )
+                    stack.enter_context(
+                        installed_integrity_config(parse_integrity_spec(args.integrity))
+                    )
+            except RuntimeConfigError as err:
+                parser.error(str(err))
             for name in names:
                 print(EXPERIMENTS[name]().to_text())
                 print()

@@ -30,13 +30,11 @@ the diff.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.aifm.pool import PoolConfig
+from repro.bench import gate
+from repro.bench.gate import Failure, Gate
 from repro.fastswap.runtime import FastswapConfig, FastswapRuntime
 from repro.hybrid.runtime import AdaptiveHybridRuntime
 from repro.hybrid.selector import SelectorConfig
@@ -62,8 +60,6 @@ TOLERANCE = 1.15
 #: workload's density flips be tracked within a couple of epochs.
 EPOCH_ACCESSES = 32
 SELECTOR = SelectorConfig(hysteresis=0.05, min_accesses=4)
-
-DEFAULT_BASELINE_DIR = Path("benchmarks") / "baselines"
 
 _LCG_MUL = 2654435761
 _LCG_ADD = 40503
@@ -222,93 +218,31 @@ def measure(workload: str) -> Dict[str, object]:
     }
 
 
-def baseline_path(baseline_dir: Path, workload: str) -> Path:
-    return Path(baseline_dir) / f"BENCH_hybrid_{workload}.json"
+def invariants(
+    measured: Dict[str, object], baseline: Dict[str, object]
+) -> List[Failure]:
+    """Every cell computes one value on all three engines within
+    ``TOLERANCE`` of the best static tier; a mixed workload also beats
+    both statics outright on at least one cell."""
+    cells: Dict[str, Dict[str, object]] = measured["cells"]  # type: ignore[assignment]
+    failures: List[Failure] = []
+    out = [c for c, d in cells.items() if not (d["within_band"] and d["values_equal"])]
+    if out:
+        failures.append(("out-of-band", out))
+    mixed = measured["workload"] in MIXED_WORKLOADS
+    if mixed and not any(d["wins_outright"] for d in cells.values()):
+        failures.append(("no-outright-win", sorted(cells)))
+    return failures
 
 
-def record_baselines(
-    baseline_dir: Path, benches: Optional[List[str]] = None
-) -> List[Path]:
-    baseline_dir = Path(baseline_dir)
-    baseline_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in benches or sorted(WORKLOADS):
-        path = baseline_path(baseline_dir, name)
-        path.write_text(json.dumps(measure(name), indent=2, sort_keys=True) + "\n")
-        written.append(path)
-    return written
-
-
-def check_baselines(
-    baseline_dir: Path, benches: Optional[List[str]] = None
-) -> Dict[str, object]:
-    """Exact-compare against baselines, then enforce the acceptance bar.
-
-    Two layers: the replay is a pure function of its seeds, so the
-    reports must match bit-for-bit; and the matched reports must show
-    the adaptive plane within the tolerance band of the best static
-    tier on every cell, winning outright on at least one mixed cell.
-    """
-    names = benches or sorted(WORKLOADS)
-    report: Dict[str, object] = {"benches": {}, "ok": True}
-    mixed_win = False
-    for name in names:
-        path = baseline_path(Path(baseline_dir), name)
-        entry: Dict[str, object] = {"baseline": str(path)}
-        report["benches"][name] = entry  # type: ignore[index]
-        if not path.exists():
-            entry["status"] = "missing-baseline"
-            entry["hint"] = "run: python -m repro.bench hybrid --record"
-            report["ok"] = False
-            continue
-        baseline = json.loads(path.read_text())
-        measured = measure(name)
-        if measured != baseline:
-            entry["status"] = "mismatch"
-            entry["diff"] = _diff_cells(
-                baseline.get("cells", {}), measured.get("cells", {})
-            )
-            report["ok"] = False
-            continue
-        out_of_band = [
-            cell
-            for cell, data in measured["cells"].items()  # type: ignore[union-attr]
-            if not (data["within_band"] and data["values_equal"])
-        ]
-        if out_of_band:
-            entry["status"] = "out-of-band"
-            entry["cells"] = out_of_band
-            report["ok"] = False
-            continue
-        if name in MIXED_WORKLOADS and any(
-            data["wins_outright"]
-            for data in measured["cells"].values()  # type: ignore[union-attr]
-        ):
-            mixed_win = True
-        entry["status"] = "ok"
-    if set(MIXED_WORKLOADS) & set(names) and not mixed_win:
-        report["ok"] = False
-        report["mixed_win"] = False
-    return report
-
-
-def _diff_cells(
-    expected: Dict[str, object], got: Dict[str, object]
-) -> Dict[str, object]:
-    out: Dict[str, object] = {}
-    for cell in sorted(set(expected) | set(got)):
-        e, g = expected.get(cell), got.get(cell)
-        if e == g:
-            continue
-        if not isinstance(e, dict) or not isinstance(g, dict):
-            out[cell] = {"expected": e, "got": g}
-            continue
-        out[cell] = {
-            key: {"expected": e.get(key), "got": g.get(key)}
-            for key in sorted(set(e) | set(g))
-            if e.get(key) != g.get(key)
-        }
-    return out
+GATE = Gate(
+    name="hybrid",
+    prefix="BENCH_hybrid_",
+    benches=tuple(sorted(WORKLOADS)),
+    measure=measure,
+    command="python -m repro.bench hybrid",
+    invariants=invariants,
+)
 
 
 # -- human-readable matrix ----------------------------------------------------
@@ -343,61 +277,9 @@ def curves_text() -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench hybrid",
-        description="Adaptive-hybrid matrix and its exact baseline gate.",
-    )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--record", action="store_true", help="measure and (re)write baselines"
-    )
-    mode.add_argument(
-        "--check", action="store_true", help="gate against recorded baselines"
-    )
-    parser.add_argument(
-        "--baseline-dir",
-        type=Path,
-        default=DEFAULT_BASELINE_DIR,
-        help=f"baseline directory (default: {DEFAULT_BASELINE_DIR})",
-    )
-    parser.add_argument(
-        "--bench",
-        action="append",
-        choices=sorted(WORKLOADS),
-        help="restrict to one workload (repeatable; default: all)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None, help="also write the check report JSON here"
-    )
-    args = parser.parse_args(argv)
-
-    if args.record:
-        for path in record_baselines(args.baseline_dir, args.bench):
-            print(f"recorded {path}")
-        return 0
-    if args.check:
-        report = check_baselines(args.baseline_dir, args.bench)
-        if args.out is not None:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        for name, entry in report["benches"].items():  # type: ignore[union-attr]
-            status = entry["status"]
-            line = f"hybrid_{name}: {status}"
-            if status == "mismatch":
-                line += f"  diff cells: {sorted(entry['diff'])}"
-            if status == "out-of-band":
-                line += f"  cells: {entry['cells']}"
-            print(line, file=sys.stderr if status != "ok" else sys.stdout)
-        if report.get("mixed_win") is False:
-            print(
-                "hybrid: adaptive never beat both statics on a mixed cell",
-                file=sys.stderr,
-            )
-        return 0 if report["ok"] else 1
-
+    args = gate.parser(GATE, curves=True).parse_args(argv)
+    if args.record or args.check:
+        return gate.run(GATE, args)
     print(curves_text())
     return 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -24,13 +24,13 @@ intentional serving-layer change and commit the diff.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.bench import gate
+from repro.bench.gate import Gate
+from repro.errors import RuntimeConfigError
 from repro.serve.cluster import ClusterConfig, ShardedCluster
+from repro.serve.replication import resolve_quorums
 from repro.serve.simulation import ChaosAction, ServingSimulation
 from repro.serve.traffic import TrafficConfig, generate_schedule
 
@@ -61,8 +61,6 @@ CHAOS_LOST_SHARD = 1
 #: Replica count of the replicated bench cells (quorum: write-all,
 #: read-one).
 REPLICATION = 2
-
-DEFAULT_BASELINE_DIR = Path("benchmarks") / "baselines"
 
 RUNTIME_KIND = "trackfm"
 
@@ -115,121 +113,43 @@ def run_chaos_cell(clients: int = 1_000, replication: int = 1) -> Dict[str, obje
     return report.to_dict()
 
 
-def measure_client_count(clients: int) -> Dict[str, object]:
-    """All shard counts for one client count (one baseline file)."""
-    return {
-        "bench": f"serving_c{clients}",
-        "clients": clients,
-        "runtime": RUNTIME_KIND,
-        "cells": {
-            f"shards_{s}": run_cell(clients, s) for s in SHARD_COUNTS
-        },
-    }
-
-
-def measure_chaos() -> Dict[str, object]:
-    return {
-        "bench": "serving_chaos",
-        "clients": 1_000,
-        "runtime": RUNTIME_KIND,
-        "cells": {"knockout": run_chaos_cell()},
-    }
-
-
-def measure_replicated() -> Dict[str, object]:
-    """The R=2 pair: fault-free (replication overhead vs the R=1 cells)
-    and the knockout (lossless failover — ``reseeded_keys`` stays 0 and
-    ``failovers``/``promoted_keys`` are pinned exactly)."""
-    return {
-        "bench": "serving_replicated",
-        "clients": 1_000,
-        "runtime": RUNTIME_KIND,
-        "replication": REPLICATION,
-        "cells": {
-            "fault_free": run_cell(1_000, CHAOS_SHARDS, REPLICATION),
-            "knockout": run_chaos_cell(replication=REPLICATION),
-        },
-    }
-
-
-def _bench_names() -> List[str]:
-    return [f"c{c}" for c in CLIENT_COUNTS] + ["chaos", "replicated"]
+#: One baseline file per client count, plus the chaos cell and the
+#: replicated pair.
+BENCHES = tuple(f"c{c}" for c in CLIENT_COUNTS) + ("chaos", "replicated")
 
 
 def measure(name: str) -> Dict[str, object]:
-    if name == "chaos":
-        return measure_chaos()
-    if name == "replicated":
-        return measure_replicated()
-    return measure_client_count(int(name[1:]))
+    """One baseline file's cells.
 
-
-def baseline_path(baseline_dir: Path, name: str) -> Path:
-    return Path(baseline_dir) / f"BENCH_serving_{name}.json"
-
-
-def record_baselines(
-    baseline_dir: Path, benches: Optional[List[str]] = None
-) -> List[Path]:
-    baseline_dir = Path(baseline_dir)
-    baseline_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in benches or _bench_names():
-        path = baseline_path(baseline_dir, name)
-        path.write_text(json.dumps(measure(name), indent=2, sort_keys=True) + "\n")
-        written.append(path)
-    return written
-
-
-def check_baselines(
-    baseline_dir: Path, benches: Optional[List[str]] = None
-) -> Dict[str, object]:
-    """Re-measure every cell and compare exactly (no tolerance).
-
-    The simulation is a pure function of its seeds, so any diff is a
-    semantic change in the serving stack, never noise.
+    ``c<N>`` holds every shard count at N clients; ``chaos`` the
+    knockout cell; ``replicated`` the R=2 pair: fault-free (replication
+    overhead vs the R=1 cells) and the knockout (lossless failover —
+    ``reseeded_keys`` stays 0 and ``failovers``/``promoted_keys`` are
+    pinned exactly).
     """
-    report: Dict[str, object] = {"benches": {}, "ok": True}
-    for name in benches or _bench_names():
-        path = baseline_path(Path(baseline_dir), name)
-        entry: Dict[str, object] = {"baseline": str(path)}
-        report["benches"][name] = entry  # type: ignore[index]
-        if not path.exists():
-            entry["status"] = "missing-baseline"
-            entry["hint"] = "run: python -m repro.bench serving --record"
-            report["ok"] = False
-            continue
-        baseline = json.loads(path.read_text())
-        measured = measure(name)
-        if measured != baseline:
-            diffs = _diff_cells(baseline.get("cells", {}), measured.get("cells", {}))
-            entry["status"] = "mismatch"
-            entry["diff"] = diffs
-            report["ok"] = False
-            continue
-        entry["status"] = "ok"
-    return report
-
-
-def _diff_cells(
-    expected: Dict[str, object], got: Dict[str, object]
-) -> Dict[str, object]:
-    """Per-cell, per-field diff so a gate failure names the drift."""
-    out: Dict[str, object] = {}
-    for cell in sorted(set(expected) | set(got)):
-        e, g = expected.get(cell), got.get(cell)
-        if e == g:
-            continue
-        if not isinstance(e, dict) or not isinstance(g, dict):
-            out[cell] = {"expected": e, "got": g}
-            continue
-        fields = {
-            key: {"expected": e.get(key), "got": g.get(key)}
-            for key in sorted(set(e) | set(g))
-            if e.get(key) != g.get(key)
+    doc: Dict[str, object] = {"bench": f"serving_{name}", "clients": 1_000}
+    if name == "chaos":
+        doc["cells"] = {"knockout": run_chaos_cell()}
+    elif name == "replicated":
+        doc["replication"] = REPLICATION
+        doc["cells"] = {
+            "fault_free": run_cell(1_000, CHAOS_SHARDS, REPLICATION),
+            "knockout": run_chaos_cell(replication=REPLICATION),
         }
-        out[cell] = fields
-    return out
+    else:
+        clients = doc["clients"] = int(name[1:])
+        doc["cells"] = {f"shards_{s}": run_cell(clients, s) for s in SHARD_COUNTS}
+    doc["runtime"] = RUNTIME_KIND
+    return doc
+
+
+GATE = Gate(
+    name="serving",
+    prefix="BENCH_serving_",
+    benches=BENCHES,
+    measure=measure,
+    command="python -m repro.bench serving",
+)
 
 
 # -- human-readable curves ----------------------------------------------------
@@ -285,32 +205,7 @@ def curves_text(replication: int = 1) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench serving",
-        description="Serving-layer curves and their exact baseline gate.",
-    )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--record", action="store_true", help="measure and (re)write baselines"
-    )
-    mode.add_argument(
-        "--check", action="store_true", help="gate against recorded baselines"
-    )
-    parser.add_argument(
-        "--baseline-dir",
-        type=Path,
-        default=DEFAULT_BASELINE_DIR,
-        help=f"baseline directory (default: {DEFAULT_BASELINE_DIR})",
-    )
-    parser.add_argument(
-        "--bench",
-        action="append",
-        choices=_bench_names(),
-        help="restrict to one bench (repeatable; default: all)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None, help="also write the check report JSON here"
-    )
+    parser = gate.parser(GATE, curves=True)
     parser.add_argument(
         "--replication", type=int, default=1, metavar="N",
         help=(
@@ -320,27 +215,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
-
-    if args.record:
-        for path in record_baselines(args.baseline_dir, args.bench):
-            print(f"recorded {path}")
-        return 0
-    if args.check:
-        report = check_baselines(args.baseline_dir, args.bench)
-        if args.out is not None:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        for name, entry in report["benches"].items():  # type: ignore[union-attr]
-            status = entry["status"]
-            line = f"serving_{name}: {status}"
-            if status == "mismatch":
-                line += f"  diff cells: {sorted(entry['diff'])}"
-            print(line, file=sys.stderr if status != "ok" else sys.stdout)
-        return 0 if report["ok"] else 1
-
+    if args.record or args.check:
+        return gate.run(GATE, args)
+    try:
+        resolve_quorums(args.replication)
+    except RuntimeConfigError as err:
+        parser.error(str(err))
     print(curves_text(replication=args.replication))
     return 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

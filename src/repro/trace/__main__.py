@@ -19,6 +19,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.errors import RuntimeConfigError, TraceError
 from repro.trace.drivers import RUNTIMES, WORKLOADS, run_traced
 from repro.trace.export import export_chrome_trace, export_jsonl
 
@@ -81,21 +82,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    fault_plan = None
-    if args.faults is not None:
-        from repro.net.faults import parse_fault_spec
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        fault_plan = None
+        if args.faults is not None:
+            from repro.net.faults import parse_fault_spec
 
-        fault_plan = parse_fault_spec(args.faults)
-    integrity = None
-    if args.integrity is not None:
-        from repro.integrity import parse_integrity_spec
+            fault_plan = parse_fault_spec(args.faults)
+        integrity = None
+        if args.integrity is not None:
+            from repro.integrity import parse_integrity_spec
 
-        integrity = parse_integrity_spec(args.integrity)
-    result = run_traced(
-        args.workload, args.runtime, seed=args.seed, fault_plan=fault_plan,
-        integrity=integrity, replication=args.replication,
-    )
+            integrity = parse_integrity_spec(args.integrity)
+        result = run_traced(
+            args.workload, args.runtime, seed=args.seed, fault_plan=fault_plan,
+            integrity=integrity, replication=args.replication,
+        )
+    except (RuntimeConfigError, TraceError) as err:
+        # Raised while validating the flags' values, before the run does
+        # any work: a usage error, not a crash.
+        parser.error(str(err))
     export_chrome_trace(result.tracer, args.out, metadata=result.metadata())
     jsonl_path = args.jsonl
     if jsonl_path is None:

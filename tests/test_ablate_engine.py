@@ -29,13 +29,7 @@ from repro.ablate.registry import (
     AblationError,
     component,
 )
-from repro.ablate.report import (
-    baseline_path,
-    build_report,
-    check_baseline,
-    dumps,
-    render_markdown,
-)
+from repro.ablate.report import GATE, build_report, render_markdown
 from repro.ablate.runner import CellRun, run_cell
 from repro.ablate.score import (
     CRITICAL_SCORE,
@@ -43,6 +37,7 @@ from repro.ablate.score import (
     score_pair,
     verdict_of,
 )
+from repro.bench.gate import baseline_path, check, dumps
 
 
 class TestRegistry:
@@ -280,7 +275,7 @@ class TestReportGate:
         # bit-identical to the recorded baseline (determinism + gate),
         # ranks all ten components, and spans all six workloads.
         report = build_report(quick=True)
-        recorded = baseline_path(Path("benchmarks/baselines"), quick=True)
+        recorded = baseline_path(GATE, Path("benchmarks/baselines"), "quick")
         assert dumps(report) == recorded.read_text()
         ranked = [row["component"] for row in report["ranking"]]
         assert sorted(ranked) == sorted(c.name for c in COMPONENTS)
@@ -293,14 +288,10 @@ class TestReportGate:
         )
         good["weights"]["cycles"] = 999.0
         (tmp_path / "ABLATION_quick.json").write_text(dumps(good))
-        result = check_baseline(tmp_path, quick=True)
-        assert not result["ok"] and result["status"] == "mismatch"
-        assert any("weights" in d["path"] for d in result["diff"])
-
-    def test_check_baseline_missing(self, tmp_path):
-        result = check_baseline(tmp_path / "nowhere", quick=True)
-        assert not result["ok"] and result["status"] == "missing-baseline"
-        assert "record" in result["hint"]
+        result = check(GATE, tmp_path, ["quick"])["benches"]["quick"]
+        assert result["status"] == "mismatch"
+        [failure] = result["failures"]
+        assert any("weights" in d["path"] for d in failure["detail"])
 
     def test_markdown_renders_every_component(self):
         report = json.loads(

@@ -613,6 +613,33 @@ class TestCLISmoke:
         assert "TrackFM" in capsys.readouterr().out
         assert default_fault_plan() is None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--workload", "serve", "--replication", "0"],
+            ["trace", "--workload", "stream", "--replication", "2"],
+            ["trace", "--faults", "bogus"],
+            ["trace", "--faults", "drop=7"],
+            ["trace", "--integrity", "bogus"],
+            ["trace", "--integrity", "refetch=-1"],
+            ["bench", "serving", "--replication", "0"],
+            ["bench", "table1", "--faults", "drop=7"],
+            ["bench", "table1", "--integrity", "bogus"],
+        ],
+    )
+    def test_bad_flag_value_is_a_usage_error(self, tmp_path, capsys, argv):
+        if argv[0] == "trace":
+            from repro.trace.__main__ import main
+
+            argv = argv + ["--out", str(tmp_path / "t.json")]
+        else:
+            from repro.bench.__main__ import main
+        with pytest.raises(SystemExit) as exc:
+            main(argv[1:])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("python -m repro.")
+        assert default_fault_plan() is None
+
     def test_installed_plan_context_restores_previous(self):
         outer = FaultPlan(seed=1, drop_rate=0.1)
         inner = FaultPlan(seed=2, drop_rate=0.2)

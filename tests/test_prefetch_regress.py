@@ -2,14 +2,8 @@
 
 import json
 
-from repro.bench.__main__ import main as bench_main
-from repro.bench.prefetch_regress import (
-    WORKLOADS,
-    baseline_path,
-    check_baselines,
-    measure_bench,
-    record_baselines,
-)
+from repro.bench.gate import baseline_path, check, record
+from repro.bench.prefetch_regress import GATE, WORKLOADS, measure_bench
 
 CHECKED_IN = "benchmarks/baselines"
 
@@ -32,52 +26,21 @@ class TestMeasurement:
 
 class TestCheckedInBaselines:
     def test_checked_in_baselines_hold(self):
-        report = check_baselines(CHECKED_IN)
+        report = check(GATE, CHECKED_IN)
         assert report["ok"], json.dumps(report, indent=2, default=str)
 
     def test_every_workload_has_a_baseline(self):
         for name in WORKLOADS:
-            assert baseline_path(CHECKED_IN, name).exists()
+            assert baseline_path(GATE, CHECKED_IN, name).exists()
 
 
 class TestGateMechanics:
-    def test_record_then_check_round_trips(self, tmp_path):
-        record_baselines(tmp_path, ["stream"])
-        report = check_baselines(tmp_path, ["stream"])
-        assert report["ok"]
-        assert report["benches"]["stream"]["status"] == "ok"
-
-    def test_missing_baseline_fails(self, tmp_path):
-        report = check_baselines(tmp_path, ["stream"])
-        assert not report["ok"]
-        assert report["benches"]["stream"]["status"] == "missing-baseline"
-
     def test_tampered_baseline_fails(self, tmp_path):
-        record_baselines(tmp_path, ["stream"])
-        path = baseline_path(tmp_path, "stream")
+        record(GATE, tmp_path, ["stream"])
+        path = baseline_path(GATE, tmp_path, "stream")
         blob = json.loads(path.read_text())
         blob["stride"]["demand_misses"] += 1
         path.write_text(json.dumps(blob))
-        report = check_baselines(tmp_path, ["stream"])
+        report = check(GATE, tmp_path, ["stream"])
         assert not report["ok"]
-        assert report["benches"]["stream"]["status"] == "baseline-mismatch"
-
-    def test_cli_dispatch_via_bench_module(self, tmp_path, capsys):
-        assert bench_main(["pprefetch", "--record", "--baseline-dir", str(tmp_path), "--bench", "stream"]) == 0
-        capsys.readouterr()
-        out_file = tmp_path / "report.json"
-        rc = bench_main(
-            [
-                "pprefetch",
-                "--check",
-                "--baseline-dir",
-                str(tmp_path),
-                "--bench",
-                "stream",
-                "--out",
-                str(out_file),
-            ]
-        )
-        assert rc == 0
-        assert "all baselines hold" in capsys.readouterr().out
-        assert json.loads(out_file.read_text())["ok"]
+        assert report["benches"]["stream"]["status"] == "mismatch"
