@@ -14,27 +14,34 @@ each shard lazily assigns arriving keys to slots in its own heap, so a
 shard only pays local-memory pressure for keys it actually owns.
 
 **Data semantics.**  Each shard's key-value store models the far node's
-durable contents.  What a loss costs depends on the replication factor:
+durable contents.  Every key lives on ``R = min(replication, n_shards)``
+distinct shards (:meth:`HashRing.place_n`, primary first), and there is
+one request path for every R: writes are applied to the live replica
+set with a monotonic per-key version tag (committed once
+``write_quorum`` replicas ack), reads consult a ``read_quorum`` and
+take the max version (healing stale quorum members inline — read
+repair).  The default ``replication=1`` is the degenerate quorum,
+W = Rq = 1 over a one-member set:
 
-* **Unreplicated (``replication=1``, the default).**  Losing a shard
-  loses its data: requests for its keys are served *degraded* (stale
-  reads, non-durable writes — counted in ``degraded_accesses``) until
-  ``rebalance()`` removes it from the ring and re-seeds its keys onto
+* **R = 1 (the default).**  Losing a shard loses its data: requests for
+  its keys are served *degraded* (stale reads, non-durable writes —
+  counted in ``degraded_accesses``) until ``rebalance()`` removes it
+  from the ring; its keys have no surviving replica, so they re-seed on
   survivors from their initial values.  Keys on surviving shards never
   notice: the chaos suite pins that their values are bit-identical to
   a fault-free run.
-* **Replicated (``replication=R >= 2``).**  Every key lives on R
-  distinct shards (:meth:`HashRing.place_n`), writes are applied to
-  the whole live replica set with a monotonic per-key version tag
-  (committed once ``write_quorum`` replicas ack), reads consult a
-  ``read_quorum`` and take the max version (healing stale replicas
-  inline — read repair).  A heartbeat failure detector suspects dead
-  shards and **failover promotes surviving replicas losslessly**: zero
-  keys re-seed as long as one replica survives, and a background
+* **R >= 2.**  A heartbeat failure detector suspects dead shards and
+  **failover promotes surviving replicas losslessly**: zero keys
+  re-seed as long as one replica survives, and a background
   anti-entropy sweep reconciles replicas that diverged during a
   partition.  ``python -m repro.bench serving --replication 2`` pins
-  this posture; R=1 runs stay bit-identical to the historical
-  unreplicated baselines.
+  this posture.
+
+R=1 runs stay bit-identical to the historical unreplicated baselines:
+the replication factor decides only whether a detector runs, which
+sparse replication counters appear, and which trace markers a
+rebalance emits.  With one copy per key, an anti-entropy sweep has
+nothing to heal and failover may only drop shards already lost.
 
 Joining a shard moves keys *to* it; moved keys that are resident on a
 surviving source are migrated through the source pool's evacuator
@@ -51,7 +58,7 @@ exactly as a real cgroup-per-machine deployment would.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import DataIntegrityError, RuntimeConfigError
@@ -115,20 +122,13 @@ class ClusterConfig:
     #: Optional base fault plan; each shard replays it under its own
     #: derived seed (independent fault domains).
     fault_plan: Optional[FaultPlan] = None
-    degraded_stall_cycles: float = DEGRADED_STALL_CYCLES
     #: Replicas per key (1 = the historical unreplicated posture, whose
-    #: request path and reports stay bit-identical to older baselines).
+    #: reports stay bit-identical to older baselines).
     replication: int = 1
     #: Write/read quorum sizes; ``None`` = write-all / read-one.  Any
     #: explicit pair must satisfy ``W + R > replication``.
     write_quorum: Optional[int] = None
     read_quorum: Optional[int] = None
-    #: Failure-detector tuning: heartbeat cadence in simulated cycles
-    #: and consecutive misses before a shard is suspected.
-    heartbeat_interval_cycles: float = 200_000.0
-    suspicion_threshold: int = 3
-    #: Fail over suspected shards automatically at detection time.
-    auto_failover: bool = True
     #: Background anti-entropy sweep cadence (None = only on demand).
     anti_entropy_interval_cycles: Optional[float] = None
 
@@ -147,10 +147,6 @@ class ClusterConfig:
         resolve_quorums(
             self.effective_replication, self.write_quorum, self.read_quorum
         )
-        if self.heartbeat_interval_cycles <= 0:
-            raise RuntimeConfigError("heartbeat_interval_cycles must be > 0")
-        if self.suspicion_threshold < 1:
-            raise RuntimeConfigError("suspicion_threshold must be >= 1")
         if (
             self.anti_entropy_interval_cycles is not None
             and self.anti_entropy_interval_cycles <= 0
@@ -159,14 +155,9 @@ class ClusterConfig:
 
     @property
     def effective_replication(self) -> int:
-        """Replicas a key actually gets (bounded by the shard count)."""
-        if self.replication < 1:
-            return self.replication  # let resolve_quorums raise
+        """Replicas a key actually gets (bounded by the shard count; a
+        nonpositive factor passes through for resolve_quorums to reject)."""
         return min(self.replication, self.n_shards)
-
-    @property
-    def replicated(self) -> bool:
-        return self.effective_replication > 1
 
     @property
     def quorums(self) -> Tuple[int, int]:
@@ -296,7 +287,7 @@ class Shard:
         self._enable_degraded()
 
     def _enable_degraded(self) -> None:
-        stall = self.config.degraded_stall_cycles
+        stall = DEGRADED_STALL_CYCLES
         runtime = self.runtime
         if self.config.runtime == "hybrid":
             # The object tier's own rung is the page-tier fallback; the
@@ -467,11 +458,16 @@ class RequestResult:
     value: int
     service_cycles: float
     degraded: bool
-    #: Replication view (replicated clusters only; R=1 keeps defaults).
-    #: Version tag the request committed/observed.
+    #: Version tag the request committed (writes) or observed (reads).
     version: int = 0
     #: Replicas that durably applied a write (reads: replicas consulted).
     acks: int = 0
+
+
+#: The :class:`ClusterStats` counters serialized only when nonzero.
+_SPARSE_STATS = frozenset(
+    ("failovers", "promoted_keys", "healed_stale_replicas", "partitions")
+)
 
 
 @dataclass
@@ -482,10 +478,9 @@ class ClusterStats:
     degraded_requests: int = 0
     lost_shards: int = 0
     rebalances: int = 0
-    #: Keys re-seeded from initial values after a loss.  Unreplicated
-    #: clusters re-seed every lost key; replicated ones only when *all*
-    #: replicas of a key died — the chaos suite pins this at 0 for R>=2
-    #: single-shard knockouts.
+    #: Keys re-seeded from initial values after a loss: those whose
+    #: replicas *all* died (at R=1, every key of a lost shard) — the
+    #: chaos suite pins this at 0 for R>=2 single-shard knockouts.
     reseeded_keys: int = 0
     #: Keys migrated survivor → survivor through the evacuator (joins).
     migrated_keys: int = 0
@@ -502,25 +497,10 @@ class ClusterStats:
     partitions: int = 0
 
     def as_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "requests": self.requests,
-            "degraded_requests": self.degraded_requests,
-            "lost_shards": self.lost_shards,
-            "rebalances": self.rebalances,
-            "reseeded_keys": self.reseeded_keys,
-            "migrated_keys": self.migrated_keys,
-            "migration_cycles": self.migration_cycles,
+        return {
+            f.name: getattr(self, f.name) for f in fields(self)
+            if getattr(self, f.name) or f.name not in _SPARSE_STATS
         }
-        for key in (
-            "failovers",
-            "promoted_keys",
-            "healed_stale_replicas",
-            "partitions",
-        ):
-            value = getattr(self, key)
-            if value:
-                out[key] = value
-        return out
 
 
 class ShardedCluster:
@@ -535,16 +515,20 @@ class ShardedCluster:
         self.ring = HashRing(
             sorted(self.shards), vnodes=config.vnodes, seed=config.seed
         )
-        #: Cached placement (kept exactly consistent with the ring).
-        self._owner: Dict[int, int] = {}
-        #: Cached replica sets (replicated clusters; primary first).
+        #: Cached replica sets, primary first (kept exactly consistent
+        #: with the ring) — the only placement cache.
         self._replica_sets: Dict[int, Tuple[int, ...]] = {}
+        #: One shared tuple per distinct replica set.
+        self._interned: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self.stats = ClusterStats()
         self._next_shard_id = config.n_shards
+        self._write_quorum, self._read_quorum = config.quorums
+        #: R >= 2 runs a failure detector and keeps the sparse
+        #: replication counters; it picks no code path.
+        self._replicated = config.effective_replication > 1
         self.detector: Optional[FailureDetector] = None
-        if config.replicated:
-            self._write_quorum, self._read_quorum = config.quorums
-            self.detector = FailureDetector(config.suspicion_threshold)
+        if self._replicated:
+            self.detector = FailureDetector()
             for sid, shard in sorted(self.shards.items()):
                 self.detector.watch(sid, shard.heartbeat)
         if tracer is not None:
@@ -558,122 +542,105 @@ class ShardedCluster:
     # -- placement ----------------------------------------------------------
 
     def place(self, key: int) -> int:
-        if self.config.replicated:
-            return self.replicas(key)[0]
-        sid = self._owner.get(key)
-        if sid is None:
-            sid = self.ring.place(key)
-            self._owner[key] = sid
-        return sid
+        """The key's primary shard."""
+        return self.replicas(key)[0]
 
     def replicas(self, key: int) -> Tuple[int, ...]:
-        """The key's replica set (primary first), cached like ``place``."""
+        """The key's replica set (primary first), cached."""
         reps = self._replica_sets.get(key)
         if reps is None:
-            reps = self.ring.place_n(key, self.config.replication)
-            self._replica_sets[key] = reps
-            self._owner[key] = reps[0]
+            reps = self._replica_sets[key] = self._place(key)
         return reps
+
+    def _place(self, key: int) -> Tuple[int, ...]:
+        """The key's replica set on the current ring (uncached)."""
+        reps = self.ring.place_n(key, self.config.replication)
+        return self._interned.setdefault(reps, reps)
 
     def live_shards(self) -> List[int]:
         return [sid for sid, shard in sorted(self.shards.items()) if not shard.lost]
 
-    def _routable(self, replicas: Iterable[int]) -> List[int]:
+    def _routable(self, replicas: Tuple[int, ...]) -> Tuple[int, ...]:
         """Replicas requests are sent to: the not-yet-suspected ones.
 
         Before the failure detector fires, a dead replica is still
         routed to (and pays degraded service) — suspicion, not an
         oracle, is what removes it from the request path.
         """
-        suspected = self.detector.suspected if self.detector is not None else ()
-        routable = [sid for sid in replicas if sid not in suspected]
-        return routable if routable else list(replicas)
+        detector = self.detector
+        if detector is None or not detector.suspected:
+            return replicas
+        suspected = detector.suspected
+        routable = tuple(sid for sid in replicas if sid not in suspected)
+        return routable if routable else replicas
+
+    def _freshest(self, key: int, shard_ids: Iterable[int]) -> Tuple[int, int, int]:
+        """``(shard, value, version)`` of the max-version copy among
+        ``shard_ids`` (ties broken by iteration order — replica order,
+        so two runs always agree).  Compares versions only: a copy path
+        reads the winner's tag itself, through :meth:`_verified_tag`."""
+        shards = self.shards
+        best_sid = -1
+        best_version = -1
+        for sid in shard_ids:
+            tag = shards[sid].tags.get(key)
+            version = 0 if tag is None else tag.version
+            if version > best_version:
+                best_sid = sid
+                best_version = version
+        value = shards[best_sid].store.get(key)
+        if value is None:
+            value = default_value(key)
+        return best_sid, value, best_version
+
+    def _verified_tag(self, key: int, shard_id: int, where: str) -> ReplicaTag:
+        """The tag ``shard_id`` holds for ``key``, checked before a copy
+        path (read repair, failover, anti-entropy, join) trusts it."""
+        tag = self.shards[shard_id].tag_of(key)
+        if not tag.verify(key):
+            raise DataIntegrityError(
+                f"replica tag for key {key} failed verification {where}",
+                obj_id=key,
+            )
+        return tag
 
     # -- the request path ---------------------------------------------------
 
     def serve(self, key: int, tenant: int = 0, write: bool = False) -> RequestResult:
-        """Serve one request; returns value + service cycles.
+        """Serve one request over the key's replica set.
+
+        Writes go to every routable replica with a bumped version tag;
+        the write is *committed* once ``write_quorum`` replicas durably
+        applied it.  Fewer acks (replicas lost or partitioned — at R=1,
+        the only one) make the request degraded: acknowledged, not
+        durable.  Reads consult the first ``read_quorum`` routable
+        replicas, return the max-version value, and heal stale quorum
+        members inline (read repair).
 
         Never raises for a lost shard: the shard's runtime runs in
         degraded mode, so the request completes with a stall and is
-        counted in ``degraded_accesses`` (reads are stale, writes are
-        not durable — they die with the shard at rebalance).
+        counted in ``degraded_accesses``.  A read that hits host-local
+        residency is *correct* even while the far node is down — not
+        degraded.
         """
         if key < 0 or key >= self.config.n_keys:
             raise RuntimeConfigError(
                 f"key {key} outside [0, {self.config.n_keys})"
             )
-        if self.config.replicated:
-            return self._serve_replicated(key, tenant, write)
-        sid = self.place(key)
-        shard = self.shards[sid]
-        kind = AccessKind.WRITE if write else AccessKind.READ
-        degraded_before = shard.metrics.degraded_accesses
-        cycles = shard.service(key, kind, tenant)
-        # Degraded = the request could not use the far node as intended:
-        # its remote path fell back locally (counted by the runtime), or
-        # it was a write to a lost shard (acknowledged, not durable).
-        # A read that hits host-local residency is *correct* even while
-        # the far node is down — not degraded.
-        degraded = shard.metrics.degraded_accesses > degraded_before or (
-            shard.lost and write
-        )
-        previous = shard.store.get(key, default_value(key))
-        if write:
-            value = next_value(key, previous)
-            if not shard.lost:
-                shard.store[key] = value
-            # A degraded write is acknowledged but not durable: the
-            # shard's (unreachable) store keeps the old value.
-        else:
-            value = previous
-        self.stats.requests += 1
-        if degraded:
-            self.stats.degraded_requests += 1
-        return RequestResult(sid, value, cycles, degraded)
-
-    # -- the replicated request path -----------------------------------------
-
-    def _freshest(self, key: int, shard_ids: Iterable[int]) -> Tuple[int, int, ReplicaTag]:
-        """``(shard, value, tag)`` of the max-version copy among
-        ``shard_ids`` (ties broken by iteration order — replica order,
-        so two runs always agree)."""
-        best_sid = -1
-        best_value = 0
-        best_tag: Optional[ReplicaTag] = None
-        for sid in shard_ids:
-            shard = self.shards[sid]
-            tag = shard.tag_of(key)
-            if best_tag is None or tag.version > best_tag.version:
-                best_sid = sid
-                best_value = shard.store.get(key, default_value(key))
-                best_tag = tag
-        if best_tag is None:
-            return -1, default_value(key), initial_tag(key)
-        return best_sid, best_value, best_tag
-
-    def _serve_replicated(self, key: int, tenant: int, write: bool) -> RequestResult:
-        """Quorum write / quorum read over the key's replica set.
-
-        Writes go to every routable replica with a bumped version tag;
-        the write is *committed* once ``write_quorum`` replicas durably
-        applied it (fewer = the request is degraded: acknowledged below
-        quorum).  Reads consult the first ``read_quorum`` routable
-        replicas, return the max-version value, and heal stale quorum
-        members inline (read repair).
-        """
         reps = self.replicas(key)
         routable = self._routable(reps)
         coordinator = routable[0]
+        shards = self.shards
         cycles = 0.0
         degraded = False
         if write:
-            _src, prev_value, prev_tag = self._freshest(key, reps)
+            _src, prev_value, prev_version = self._freshest(key, reps)
             value = next_value(key, prev_value)
-            tag = ReplicaTag.at(key, prev_tag.version + 1)
+            version = prev_version + 1
+            tag = ReplicaTag.at(key, version)
             acks = 0
             for sid in routable:
-                shard = self.shards[sid]
+                shard = shards[sid]
                 before = shard.metrics.degraded_accesses
                 cycles += shard.service(key, AccessKind.WRITE, tenant)
                 if shard.metrics.degraded_accesses > before or shard.lost:
@@ -684,23 +651,24 @@ class ShardedCluster:
                         shard.metrics.replica_writes += 1
             if acks < min(self._write_quorum, len(reps)):
                 degraded = True
-            version = tag.version
         else:
             targets = routable[: self._read_quorum]
             for sid in targets:
-                shard = self.shards[sid]
+                shard = shards[sid]
                 before = shard.metrics.degraded_accesses
                 cycles += shard.service(key, AccessKind.READ, tenant)
                 if shard.metrics.degraded_accesses > before:
                     degraded = True
-            self.shards[coordinator].metrics.quorum_reads += 1
-            _src, value, tag = self._freshest(key, targets)
-            version = tag.version
+            if self._replicated:
+                shards[coordinator].metrics.quorum_reads += 1
+            src, value, version = self._freshest(key, targets)
             acks = len(targets)
-            # Read repair: stale quorum members adopt the winner.
+            # Read repair: stale quorum members adopt the winner's copy.
             for sid in targets:
-                shard = self.shards[sid]
-                if shard.version_of(key) < version and shard.apply_write(key, value, tag):
+                shard = shards[sid]
+                if shard.version_of(key) < version and shard.apply_write(
+                    key, value, self._verified_tag(key, src, "at read repair")
+                ):
                     shard.metrics.read_repairs += 1
                     tracer = self.tracer
                     if tracer.enabled:
@@ -714,19 +682,13 @@ class ShardedCluster:
         return RequestResult(coordinator, value, cycles, degraded, version, acks)
 
     def read_value(self, key: int) -> int:
-        """The durable value of ``key`` right now (no cost accounting).
-
-        Replicated clusters answer with the freshest *reachable* copy
-        (max version over non-lost replicas); unreplicated ones read
-        the owner's store, exactly as before.
-        """
-        if self.config.replicated:
-            reps = self.replicas(key)
-            reachable = [sid for sid in reps if not self.shards[sid].lost]
-            _sid, value, _tag = self._freshest(key, reachable or reps)
-            return value
-        shard = self.shards[self.place(key)]
-        return shard.store.get(key, default_value(key))
+        """The durable value of ``key`` right now (no cost accounting):
+        the freshest copy among its non-lost replicas, or among all of
+        them when none survives (a lost R=1 owner until rebalance)."""
+        reps = self.replicas(key)
+        shards = self.shards
+        reachable = [sid for sid in reps if not shards[sid].lost]
+        return self._freshest(key, reachable or reps)[1]
 
     # -- chaos: loss, rebalance, join ---------------------------------------
 
@@ -744,45 +706,17 @@ class ShardedCluster:
             tracer.serve("shard_lost", self._now(), shard=shard_id)
 
     def rebalance(self) -> int:
-        """Remove lost shards from the ring; recover their keys.
-
-        Unreplicated clusters re-place every lost-shard key on a
-        survivor and re-seed it from its initial value — the write
-        history dies with the shard.  Replicated clusters fail over
-        instead: surviving replicas are promoted losslessly (zero
-        re-seeds while any replica of each key survives); see
-        :meth:`failover`.  Returns the number of keys whose placement
-        moved.
+        """Remove lost shards from the ring and recover their keys
+        through :meth:`failover`: keys with a surviving replica are
+        promoted losslessly, keys without one — every key of a lost
+        shard at R=1 — re-seed from their initial values.  Returns the
+        number of keys whose replica set moved.
         """
         lost = [sid for sid, shard in self.shards.items() if shard.lost and sid in self.ring]
-        if self.config.replicated:
-            if not lost:
-                return 0
-            moved = self.failover(lost)
-            self.stats.rebalances += 1
-            return moved
-        moved = 0
-        for sid in lost:
-            self.ring.remove_shard(sid)
-            dead = self.shards[sid]
-            for key, owner in list(self._owner.items()):
-                if owner != sid:
-                    continue
-                new_sid = self.ring.place(key)
-                self._owner[key] = new_sid
-                dead.drop_key(key)
-                # Re-seeded: the new shard starts from the key's initial
-                # value; its slot is assigned on first touch (remote).
-                moved += 1
-        self.stats.reseeded_keys += moved
-        if lost:
-            self.stats.rebalances += 1
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.serve(
-                    "rebalance", self._now(),
-                    removed=sorted(lost), reseeded=moved,
-                )
+        if not lost:
+            return 0
+        moved = self.failover(lost)
+        self.stats.rebalances += 1
         return moved
 
     def failover(self, shard_ids: Iterable[int]) -> int:
@@ -792,18 +726,20 @@ class ShardedCluster:
         freshest *reachable* surviving copy (max version tag, verified
         against the integrity checksum) is copied onto the set's new
         members — lossless, so ``reseeded_keys`` stays untouched.  Only
-        when every replica of a key died does the key re-seed from its
-        initial value.  Keys whose replica sets did not contain a dead
-        shard keep their sets verbatim (the :meth:`HashRing.place_n`
-        leave law).  Returns the number of keys whose set changed.
+        when every replica of a key died (always, at R=1) does the key
+        re-seed from its initial value.  Keys whose replica sets did not
+        contain a dead shard keep their sets verbatim (the
+        :meth:`HashRing.place_n` leave law).  Returns the number of keys
+        whose set changed.  At R=1 only lost shards may be failed over:
+        a live one's keys have no other copy to promote.
         """
-        if not self.config.replicated:
-            raise RuntimeConfigError("failover requires a replicated cluster")
         dead = sorted({sid for sid in shard_ids if sid in self.ring})
         if not dead:
             return 0
         if len(self.ring) - len(dead) < 1:
             raise RuntimeConfigError("cannot fail over every ring member")
+        if not self._replicated and not all(self.shards[sid].lost for sid in dead):
+            raise RuntimeConfigError("at R=1, failing over a live shard discards its keys")
         for sid in dead:
             self.ring.remove_shard(sid)
             if self.detector is not None:
@@ -811,53 +747,50 @@ class ShardedCluster:
                 # false positive on a lossy control plane.
                 self.detector.suspected.add(sid)
         dead_set = set(dead)
+        shards = self.shards
         moved = 0
         promoted = 0
         reseeded = 0
         for key in sorted(self._replica_sets):
             old = self._replica_sets[key]
-            if not dead_set.intersection(old):
+            if dead_set.isdisjoint(old):
                 continue
-            new = self.ring.place_n(key, self.config.replication)
+            new = self._place(key)
             self._replica_sets[key] = new
-            self._owner[key] = new[0]
             moved += 1
             survivors = [
                 sid for sid in old
                 if sid not in dead_set
-                and not self.shards[sid].lost
-                and not self.shards[sid].partitioned
+                and not shards[sid].lost
+                and not shards[sid].partitioned
             ]
             if survivors:
-                _src, value, tag = self._freshest(key, survivors)
-                if not tag.verify(key):
-                    raise DataIntegrityError(
-                        f"replica tag for key {key} failed verification at failover",
-                        obj_id=key,
-                    )
+                src, value, _version = self._freshest(key, survivors)
+                tag = self._verified_tag(key, src, "at failover")
                 for sid in new:
-                    if sid in old:
-                        continue
-                    if self.shards[sid].apply_write(key, value, tag):
+                    if sid not in old and shards[sid].apply_write(key, value, tag):
                         promoted += 1
             else:
                 # Every replica died: the write history is gone.
                 reseeded += 1
             for sid in old:
                 if sid in dead_set:
-                    self.shards[sid].drop_key(key)
-        self.stats.failovers += len(dead)
+                    shards[sid].drop_key(key)
         self.stats.promoted_keys += promoted
         self.stats.reseeded_keys += reseeded
-        live = self.live_shards()
-        if live:
-            self.shards[live[0]].metrics.failovers += len(dead)
         tracer = self.tracer
-        if tracer.enabled:
-            tracer.replica(
-                "failover", self._now(),
-                removed=dead, moved=moved, promoted=promoted, reseeded=reseeded,
-            )
+        if self._replicated:
+            self.stats.failovers += len(dead)
+            live = self.live_shards()
+            if live:
+                shards[live[0]].metrics.failovers += len(dead)
+            if tracer.enabled:
+                tracer.replica(
+                    "failover", self._now(),
+                    removed=dead, moved=moved, promoted=promoted, reseeded=reseeded,
+                )
+        elif tracer.enabled:
+            tracer.serve("rebalance", self._now(), removed=dead, reseeded=reseeded)
         return moved
 
     def anti_entropy(self) -> int:
@@ -865,31 +798,31 @@ class ShardedCluster:
 
         For each key, the freshest reachable copy (not lost, not
         partitioned) wins; lower-versioned reachable replicas adopt its
-        value and tag.  Idempotent — a second sweep with no intervening
-        writes heals nothing.  Returns the number of replicas healed.
+        value and tag, which is verified once per written key.
+        Idempotent — a second sweep with no intervening writes heals
+        nothing.  Returns the number of replicas healed.
+
+        At R=1 there is no second copy to diverge, so the sweep is a
+        no-op: it neither places keys nor emits a trace event.
         """
-        if not self.config.replicated:
+        if not self._replicated:
             return 0
+        shards = self.shards
         healed = 0
         for key in range(self.config.n_keys):
-            reps = self.replicas(key)
             reachable = [
-                sid for sid in reps
-                if not self.shards[sid].lost and not self.shards[sid].partitioned
+                sid for sid in self.replicas(key)
+                if not shards[sid].lost and not shards[sid].partitioned
             ]
             if not reachable:
                 continue
-            _src, value, tag = self._freshest(key, reachable)
-            if tag.version == 0:
+            src, value, version = self._freshest(key, reachable)
+            if version == 0:
                 continue  # nothing written: every replica is at the seed
-            if not tag.verify(key):
-                raise DataIntegrityError(
-                    f"replica tag for key {key} failed verification in anti-entropy",
-                    obj_id=key,
-                )
+            tag = self._verified_tag(key, src, "in anti-entropy")
             for sid in reachable:
-                shard = self.shards[sid]
-                if shard.version_of(key) < tag.version and shard.apply_write(
+                shard = shards[sid]
+                if shard.version_of(key) < version and shard.apply_write(
                     key, value, tag
                 ):
                     healed += 1
@@ -930,11 +863,10 @@ class ShardedCluster:
     def tick(self) -> List[int]:
         """One failure-detector round: probe every heartbeat channel.
 
-        Newly suspected shards (``suspicion_threshold`` consecutive
-        missed probes) are failed over immediately when
-        ``auto_failover`` is set — unless that would empty the ring, in
-        which case suspicion stands but the ring is left alone.
-        Returns the newly suspected shard ids.
+        Newly suspected shards (``SUSPICION_THRESHOLD`` consecutive
+        missed probes) are failed over immediately — unless that would
+        empty the ring, in which case suspicion stands but the ring is
+        left alone.  Returns the newly suspected shard ids.
         """
         if self.detector is None:
             return []
@@ -943,20 +875,22 @@ class ShardedCluster:
             tracer = self.tracer
             if tracer.enabled:
                 tracer.replica("suspect", self._now(), shards=list(newly))
-            if self.config.auto_failover:
-                in_ring = [sid for sid in newly if sid in self.ring]
-                if in_ring and len(self.ring) - len(in_ring) >= 1:
-                    self.failover(in_ring)
+            in_ring = [sid for sid in newly if sid in self.ring]
+            if in_ring and len(self.ring) - len(in_ring) >= 1:
+                self.failover(in_ring)
         return newly
 
     def join_shard(self) -> int:
         """Bring up a fresh shard and migrate its keys onto it.
 
-        Keys whose placement moves (consistent hashing: all of them
-        move *to* the new shard) are migrated: values are copied over,
-        and slots resident in a surviving source pool are expelled
-        through the source's evacuator (dirty ones pay a writeback).
-        Returns the new shard id.
+        A replica set that adopts the joiner (consistent hashing: keys
+        only move *to* it) copies the freshest surviving value and its
+        verified tag onto it and evicts at most one old member (the
+        ``place_n`` join law; at R=1, the old owner).  An evicted
+        member's slot, if resident in a surviving pool, is expelled
+        through that pool's evacuator (dirty ones pay a writeback).
+        Sets that did not adopt the joiner are untouched.  Returns the
+        new shard id.
         """
         sid = self._next_shard_id
         self._next_shard_id += 1
@@ -967,55 +901,33 @@ class ShardedCluster:
         self.ring.add_shard(sid)
         if self.detector is not None:
             self.detector.watch(sid, shard.heartbeat)
+        shards = self.shards
         migrated = 0
         cycles = 0.0
-        if self.config.replicated:
-            # Replica-set migration: a set that adopts the joiner copies
-            # the freshest verified surviving value onto it and evicts
-            # at most one old member (the place_n join law); sets that
-            # did not adopt it are untouched.
-            for key in sorted(self._replica_sets):
-                old = self._replica_sets[key]
-                new = self.ring.place_n(key, self.config.replication)
-                if set(new) == set(old):
-                    self._replica_sets[key] = new
-                    self._owner[key] = new[0]
+        for key in sorted(self._replica_sets):
+            old = self._replica_sets[key]
+            new = self._place(key)
+            self._replica_sets[key] = new
+            if set(new) == set(old):
+                continue
+            sources = [
+                s for s in old if not shards[s].lost and not shards[s].partitioned
+            ]
+            src, value, _version = self._freshest(key, sources or old)
+            tag = self._verified_tag(key, src, "at join")
+            for member in new:
+                if member not in old:
+                    shards[member].apply_write(key, value, tag)
+            for member in old:
+                if member in new:
                     continue
-                sources = [
-                    s for s in old
-                    if not self.shards[s].lost and not self.shards[s].partitioned
-                ]
-                _src, value, tag = self._freshest(key, sources or old)
-                for member in new:
-                    if member not in old:
-                        self.shards[member].apply_write(key, value, tag)
-                for member in old:
-                    if member in new:
-                        continue
-                    source = self.shards[member]
-                    pool = source.pool
-                    slot = source.slots.get(key)
-                    if pool is not None and slot is not None and not source.lost:
-                        cycles += pool.expel(slot // self.config.object_size)
-                    source.drop_key(key)
-                self._replica_sets[key] = new
-                self._owner[key] = new[0]
-                migrated += 1
-        else:
-            for key, owner in list(self._owner.items()):
-                new_sid = self.ring.place(key)
-                if new_sid == owner:
-                    continue
-                source = self.shards[owner]
-                # Copy the durable value, then evacuate the source slot.
-                shard.store[key] = source.store.get(key, default_value(key))
+                source = shards[member]
                 pool = source.pool
                 slot = source.slots.get(key)
                 if pool is not None and slot is not None and not source.lost:
                     cycles += pool.expel(slot // self.config.object_size)
                 source.drop_key(key)
-                self._owner[key] = new_sid
-                migrated += 1
+            migrated += 1
         self.stats.migrated_keys += migrated
         self.stats.migration_cycles += cycles
         tracer = self.tracer

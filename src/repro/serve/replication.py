@@ -35,6 +35,11 @@ from repro.net.faults import FaultPlan
 #: Seed salt separating heartbeat probe rolls from data-link schedules.
 HEARTBEAT_SEED_SALT = 0x48B2
 
+#: Failure-detector tuning: simulated cycles between heartbeat rounds,
+#: and consecutive missed probes before a shard is suspected.
+HEARTBEAT_INTERVAL_CYCLES = 200_000.0
+SUSPICION_THRESHOLD = 3
+
 
 def resolve_quorums(
     replication: int,
@@ -71,7 +76,7 @@ def resolve_quorums(
 _CODEC = ChecksumCodec(seed=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplicaTag:
     """Version metadata one replica holds for one key."""
 
@@ -80,7 +85,7 @@ class ReplicaTag:
 
     @classmethod
     def at(cls, key: int, version: int) -> "ReplicaTag":
-        return cls(version=version, checksum=_CODEC.object_checksum(key, version))
+        return cls(version, _CODEC.object_checksum(key, version))
 
     def verify(self, key: int) -> bool:
         """Does the checksum match ``(key, version)``?  A mismatch means
@@ -131,7 +136,7 @@ class HeartbeatChannel:
 class FailureDetector:
     """Consecutive-miss suspicion over per-shard heartbeat channels."""
 
-    def __init__(self, threshold: int = 3) -> None:
+    def __init__(self, threshold: int = SUSPICION_THRESHOLD) -> None:
         if threshold < 1:
             raise RuntimeConfigError(f"suspicion threshold must be >= 1, got {threshold}")
         self.threshold = threshold
@@ -142,11 +147,6 @@ class FailureDetector:
     def watch(self, shard_id: int, channel: HeartbeatChannel) -> None:
         self.channels[shard_id] = channel
         self.misses[shard_id] = 0
-
-    def unwatch(self, shard_id: int) -> None:
-        self.channels.pop(shard_id, None)
-        self.misses.pop(shard_id, None)
-        self.suspected.discard(shard_id)
 
     def is_suspected(self, shard_id: int) -> bool:
         return shard_id in self.suspected

@@ -1,23 +1,25 @@
 """The discrete-event serving simulation: traffic meets the cluster.
 
 Each shard is modeled as a single-server FIFO queue: a request arriving
-at ``t`` starts service at ``max(t, shard.busy_until)``, holds the
-shard for its service cycles (runtime access + retries + quota
-enforcement + migrations it triggered), and completes when done.
+at ``t`` queues on the shard that coordinated it (its first routable
+replica — the key's owner at R=1), starts service at
+``max(t, shard.busy_until)``, holds the shard for its service cycles
+(runtime access + retries + quota enforcement + migrations it
+triggered), and completes when done.
 End-to-end latency = queue wait + service — the quantity whose p99
 explodes past saturation, which is the whole reason the serving layer
 simulates open-loop traffic instead of averaging closed-form costs.
 
 Chaos actions (:class:`ChaosAction`) fire at configured simulated
 times, *between* arrivals: a ``lose`` knocks a whole far node out
-mid-run (its requests degrade), ``rebalance`` shrinks the ring and
-recovers the dead shard's keys (re-seed when unreplicated, lossless
-failover when replicated), ``join`` grows the ring and migrates,
-``partition``/``heal`` cut and restore one shard's data links (gray
-failure), and ``anti_entropy`` forces a reconciliation sweep.  On
-replicated clusters the failure detector's heartbeat ticks and the
-optional periodic anti-entropy sweep are interleaved with chaos in
-simulated-time order.  Everything — arrivals, service costs, fault
+mid-run (its requests degrade), ``rebalance`` fails the dead shard
+over (keys with a surviving replica are promoted losslessly; at R=1
+none has one, so its keys re-seed), ``join`` grows the ring and
+migrates, ``partition``/``heal`` cut and restore one shard's data
+links (gray failure), and ``anti_entropy`` forces a reconciliation
+sweep.  On replicated clusters the failure detector's heartbeat ticks
+and the optional periodic anti-entropy sweep are interleaved with
+chaos in simulated-time order.  Everything — arrivals, service costs, fault
 schedules, chaos timing — is a pure function of seeds, so the full
 :class:`ServingReport` (fingerprints included) is bit-identical across
 reruns.
@@ -25,11 +27,12 @@ reruns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RuntimeConfigError
 from repro.serve.cluster import ShardedCluster
+from repro.serve.replication import HEARTBEAT_INTERVAL_CYCLES
 from repro.serve.traffic import Schedule
 
 _MASK64 = (1 << 64) - 1
@@ -83,20 +86,7 @@ class ServingReport:
     completions_fingerprint: int
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "requests": self.requests,
-            "degraded_requests": self.degraded_requests,
-            "makespan_cycles": self.makespan_cycles,
-            "throughput_per_mcycle": self.throughput_per_mcycle,
-            "latency_mean": self.latency_mean,
-            "latency_percentiles": dict(self.latency_percentiles),
-            "per_shard_requests": dict(self.per_shard_requests),
-            "cluster_stats": dict(self.cluster_stats),
-            "metrics": dict(self.metrics),
-            "values_checksum": self.values_checksum,
-            "schedule_fingerprint": self.schedule_fingerprint,
-            "completions_fingerprint": self.completions_fingerprint,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -121,13 +111,11 @@ class ServingSimulation:
         # anti-entropy sweep (when configured) runs on its own cadence.
         # Unreplicated clusters schedule neither, so their runs replay
         # the historical event sequence exactly.
-        config = cluster.config
-        self._hb_interval = (
-            config.heartbeat_interval_cycles if cluster.detector is not None else None
-        )
+        replicated = cluster.detector is not None
+        self._hb_interval = HEARTBEAT_INTERVAL_CYCLES if replicated else None
         self._next_hb = self._hb_interval
         self._ae_interval = (
-            config.anti_entropy_interval_cycles if config.replicated else None
+            cluster.config.anti_entropy_interval_cycles if replicated else None
         )
         self._next_ae = self._ae_interval
         busy_until: Dict[int, float] = {}
@@ -136,25 +124,23 @@ class ServingSimulation:
 
         for now, _client, tenant, key, is_write in self.schedule.rows():
             self._control_plane(actions, now)
-            sid = cluster.place(key)
-            start = max(now, busy_until.get(sid, 0.0))
             result = cluster.serve(key, tenant=tenant, write=is_write)
-            completion = start + result.service_cycles
-            busy_until[result.shard_id] = completion
+            sid = result.shard_id
+            completion = max(now, busy_until.get(sid, 0.0)) + result.service_cycles
+            busy_until[sid] = completion
             if completion > makespan:
                 makespan = completion
             latency = completion - now
-            shard = cluster.shards[result.shard_id]
-            shard.record_latency(latency)
+            cluster.shards[sid].record_latency(latency)
             completions_acc = (
-                (completions_acc ^ (result.value + result.shard_id + (1 if result.degraded else 2)))
+                (completions_acc ^ (result.value + sid + (1 if result.degraded else 2)))
                 * 0x100000001B3
             ) & _MASK64
             if tracer.enabled:
                 tracer.serve(
                     "request",
                     completion,
-                    shard=result.shard_id,
+                    shard=sid,
                     tenant=tenant,
                     key=key,
                     write=is_write,
@@ -175,7 +161,7 @@ class ServingSimulation:
         # threshold and fails over before the report is cut; then one
         # closing sweep reconciles whatever the run left stale.
         if cluster.detector is not None:
-            for _ in range(config.suspicion_threshold):
+            for _ in range(cluster.detector.threshold):
                 cluster.tick()
             if self._ae_interval is not None:
                 cluster.anti_entropy()

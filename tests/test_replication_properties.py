@@ -1,6 +1,6 @@
 """Property-based tests for the replication layer.
 
-Four groups of guarantees, all stated as hypothesis properties:
+Five groups of guarantees, all stated as hypothesis properties:
 
 * **replica placement** — ``HashRing.place_n`` yields distinct shards,
   is a pure function of the shard set, has size ``min(R, N)``, and its
@@ -13,14 +13,26 @@ Four groups of guarantees, all stated as hypothesis properties:
   committed write is visible to every subsequent quorum read;
 * **repair idempotence** — anti-entropy converges: a sweep that healed
   everything reachable leaves nothing for the next sweep, and a repeat
-  read after a read-repair finds no remaining staleness.
+  read after a read-repair finds no remaining staleness;
+* **the cluster as a state machine** — ``ShardedCluster`` at R=1, 2, 3
+  against a dict reference under any interleaving of requests, losses,
+  partitions, heals, rebalances, detector ticks, joins and sweeps.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.errors import RuntimeConfigError
 from repro.net.faults import FaultPlan
@@ -278,3 +290,206 @@ def test_detector_suspects_after_exactly_threshold_misses(threshold):
         assert newly == ([0] if tick == threshold else [])
     assert detector.is_suspected(0)
     assert detector.tick() == []  # suspicion is sticky, reported once
+
+
+# -- stateful model: the cluster against a dict reference -------------------
+
+#: ``REPRO_SERVE_CHAOS_SEEDS`` widens the model run the same way it
+#: widens the seeded chaos fuzz (the nightly fuzz workflow sets 25).
+MODEL_EXAMPLES = 8 * int(os.environ.get("REPRO_SERVE_CHAOS_SEEDS", "3"))
+MODEL_SHARDS = 4
+MODEL_KEYS = 12
+MODEL_MAX_JOINS = 2
+
+
+class ClusterModel(RuleBasedStateMachine):
+    """``ShardedCluster`` at R in {1, 2, 3} against a dict reference.
+
+    Every stored copy carries a version, and its value must be the
+    key's write chain at that version (``default_value``, then
+    ``next_value`` per write).  At R=1 the reference is exact: a write
+    is durable iff the owner is reachable, and a rebalance re-seeds
+    exactly the lost shards' keys.  At R >= 2 the reference holds each
+    key's last *committed* version (acked by the whole replica set,
+    the default write-all quorum), and the rules keep the failures in
+    flight within the set's tolerance: lost shards still on the ring
+    plus shards partitioned since the last anti-entropy sweep stay at
+    most ``min(R, ring size) - 1``.
+    """
+
+    @initialize(r=st.sampled_from([1, 2, 3]), seed=SEEDS)
+    def setup(self, r, seed):
+        self.r = r
+        self.cluster = ShardedCluster(ClusterConfig(
+            n_shards=MODEL_SHARDS, n_keys=MODEL_KEYS, seed=seed, replication=r,
+        ))
+        #: R=1: each key's durable value.  R>=2: last committed version.
+        self.durable = {k: default_value(k) for k in range(MODEL_KEYS)}
+        self.committed = dict.fromkeys(range(MODEL_KEYS), 0)
+        #: Shards partitioned since the last sweep that found them healed.
+        self.dirty: set = set()
+        self.joins = 0
+        self.chains = {k: [default_value(k)] for k in range(MODEL_KEYS)}
+        self.versions = self._versions()
+
+    # -- helpers -------------------------------------------------------------
+
+    def _chain(self, key, version):
+        chain = self.chains[key]
+        while len(chain) <= version:
+            chain.append(next_value(key, chain[-1]))
+        return chain[version]
+
+    def _versions(self):
+        return {
+            (sid, key): tag.version
+            for sid, shard in self.cluster.shards.items()
+            for key, tag in shard.tags.items()
+        }
+
+    def _in_flight(self, extra=0):
+        """Failures in flight after ``extra`` more, and their budget."""
+        cluster = self.cluster
+        lost = {sid for sid in cluster.ring.shard_ids if cluster.shards[sid].lost}
+        failures = len(lost | self.dirty) + extra
+        return failures, min(self.r, len(cluster.ring)) - 1
+
+    def _live(self):
+        return [sid for sid, s in sorted(self.cluster.shards.items())
+                if not s.lost and not s.partitioned]
+
+    # -- rules ---------------------------------------------------------------
+
+    @rule(key=st.integers(0, MODEL_KEYS - 1))
+    def write(self, key):
+        reps = self.cluster.replicas(key)
+        result = self.cluster.serve(key, write=True)
+        assert result.value == self._chain(key, result.version)
+        assert result.version > self.committed[key]
+        if self.r == 1:
+            owner = self.cluster.shards[reps[0]]
+            durable = not owner.lost and not owner.partitioned
+            assert (result.acks == 1) == durable
+            # A write that did not land is degraded; one that did may
+            # still be (a breaker that has not closed since a heal).
+            assert durable or result.degraded
+            if durable:
+                self.durable[key] = result.value
+        elif result.acks >= len(reps):
+            self.committed[key] = result.version
+
+    @rule(key=st.integers(0, MODEL_KEYS - 1))
+    def read(self, key):
+        result = self.cluster.serve(key)
+        assert result.value == self._chain(key, result.version)
+        if self.r == 1:
+            assert result.value == self.durable[key]
+
+    @rule(data=st.data())
+    def lose(self, data):
+        live = [sid for sid, s in sorted(self.cluster.shards.items()) if not s.lost]
+        candidates = [sid for sid in live if not self.cluster.shards[sid].partitioned]
+        if len(live) < 2 or not candidates:
+            return
+        if self.r > 1:
+            failures, budget = self._in_flight(extra=1)
+            if failures > budget:
+                return
+        self.cluster.lose_shard(data.draw(st.sampled_from(candidates)))
+
+    @rule(data=st.data())
+    def partition(self, data):
+        candidates = [sid for sid in self._live() if sid not in self.dirty]
+        if not candidates:
+            return
+        if self.r > 1:
+            failures, budget = self._in_flight(extra=1)
+            if failures > budget:
+                return
+        sid = data.draw(st.sampled_from(candidates))
+        self.cluster.partition_shard(sid)
+        self.dirty.add(sid)
+
+    @rule(data=st.data())
+    def heal(self, data):
+        parted = [sid for sid, s in sorted(self.cluster.shards.items()) if s.partitioned]
+        if parted:
+            self.cluster.heal_shard(data.draw(st.sampled_from(parted)))
+
+    @rule()
+    def rebalance(self):
+        cluster = self.cluster
+        if self.r == 1:
+            # Exactly the lost shards' keys re-seed; every other key keeps
+            # its durable value.
+            lost = {sid for sid, s in cluster.shards.items() if s.lost}
+            for key in range(MODEL_KEYS):
+                if cluster.replicas(key)[0] in lost:
+                    self.durable[key] = default_value(key)
+        cluster.rebalance()
+
+    @rule()
+    def tick(self):
+        # R>=2: a shard lost for SUSPICION_THRESHOLD ticks fails over.
+        # R=1 runs no detector, so nothing happens.
+        self.cluster.tick()
+
+    @precondition(lambda self: self.joins < MODEL_MAX_JOINS)
+    @rule()
+    def join(self):
+        self.joins += 1
+        self.cluster.join_shard()
+
+    @rule()
+    def anti_entropy(self):
+        cluster = self.cluster
+        cluster.anti_entropy()
+        self.dirty = {sid for sid in self.dirty if cluster.shards[sid].partitioned}
+        # Converged: every reachable replica holds the freshest reachable
+        # copy, and a second sweep has nothing left to heal.
+        for key in range(MODEL_KEYS):
+            reachable = [
+                sid for sid in cluster.replicas(key)
+                if not cluster.shards[sid].lost and not cluster.shards[sid].partitioned
+            ]
+            assert len({cluster.shards[sid].version_of(key) for sid in reachable}) <= 1
+        assert cluster.anti_entropy() == 0
+
+    # -- invariants ----------------------------------------------------------
+
+    @invariant()
+    def copies_follow_the_write_chain(self):
+        for shard in self.cluster.shards.values():
+            for key, value in shard.store.items():
+                tag = shard.tags[key]
+                assert tag.verify(key)
+                assert value == self._chain(key, tag.version)
+
+    @invariant()
+    def replica_versions_are_monotone(self):
+        versions = self._versions()
+        for pair, version in versions.items():
+            assert version >= self.versions.get(pair, 0)
+        self.versions = versions
+
+    @invariant()
+    def no_committed_write_is_lost(self):
+        cluster = self.cluster
+        for key in range(MODEL_KEYS):
+            value = cluster.read_value(key)
+            if self.r == 1:
+                assert value == self.durable[key]
+                continue
+            reps = cluster.replicas(key)
+            holders = [sid for sid in reps if not cluster.shards[sid].lost] or reps
+            freshest = max(cluster.shards[sid].version_of(key) for sid in holders)
+            assert freshest >= self.committed[key]
+            assert value == self._chain(key, freshest)
+        if self.r > 1:
+            assert cluster.stats.reseeded_keys == 0
+
+
+TestClusterModel = ClusterModel.TestCase
+TestClusterModel.settings = settings(
+    max_examples=MODEL_EXAMPLES, stateful_step_count=30, deadline=None,
+)

@@ -32,7 +32,9 @@ from repro.serve import (
     next_value,
     run_serving,
 )
-from repro.errors import RuntimeConfigError
+from repro.errors import DataIntegrityError, RuntimeConfigError
+from repro.serve.replication import ReplicaTag
+from repro.trace.tracer import Tracer
 
 N_KEYS = 256
 N_SHARDS = 4
@@ -258,6 +260,105 @@ def test_degraded_writes_are_not_durable():
     assert cluster.read_value(key) == durable
 
 
+def test_partitioned_unreplicated_write_is_not_durable():
+    """``Shard.partition`` stops writes landing at R=1 too: a write while
+    the owner's data links are cut is degraded, and after the heal the
+    owner still holds the pre-partition value."""
+    cluster = _cluster("aifm")
+    key = next(k for k in range(N_KEYS) if cluster.place(k) == LOST)
+    first = cluster.serve(key, write=True)
+    assert not first.degraded
+    cluster.partition_shard(LOST)
+    assert cluster.serve(key, write=True).degraded
+    cluster.heal_shard(LOST)
+    assert cluster.read_value(key) == first.value
+    assert cluster.serve(key).value == first.value
+
+
+def test_unreplicated_requests_carry_version_and_acks():
+    """R=1 is the one-member quorum: writes bump the key's version tag
+    and ack once; a read consults its one replica."""
+    cluster = _cluster("aifm")
+    writes = [cluster.serve(7, write=True) for _ in range(3)]
+    assert [(w.version, w.acks) for w in writes] == [(1, 1), (2, 1), (3, 1)]
+    read = cluster.serve(7)
+    assert (read.value, read.version, read.acks) == (writes[-1].value, 3, 1)
+
+
+def _r1_chaos_trail(sweep_first: bool):
+    """Stats and trace events of an R=1 knockout, rebalance and join,
+    optionally after an anti-entropy sweep."""
+    tracer = Tracer()
+    cluster = ShardedCluster(
+        ClusterConfig(n_shards=N_SHARDS, n_keys=N_KEYS, local_memory=512),
+        tracer=tracer,
+    )
+    for k in range(0, N_KEYS, 3):
+        cluster.serve(k, write=k % 2 == 0)
+    if sweep_first:
+        assert cluster.anti_entropy() == 0
+    cluster.lose_shard(LOST)
+    moved = cluster.rebalance()
+    joined = cluster.join_shard()
+    events = [(ev.cat, ev.name, ev.args) for ev in tracer.events
+              if ev.cat in ("serve", "replica")]
+    return moved, joined, cluster.stats.as_dict(), events
+
+
+def test_unreplicated_anti_entropy_is_a_noop():
+    """At R=1 there is no second copy to heal: a sweep places no keys
+    and emits nothing, so a later rebalance and join behave exactly as
+    without it."""
+    assert _r1_chaos_trail(sweep_first=True) == _r1_chaos_trail(sweep_first=False)
+
+
+def test_unreplicated_failover_refuses_a_live_shard():
+    """At R=1 a live shard's keys have no other copy: failover refuses
+    to drop it, and accepts it once the shard is lost."""
+    cluster = _cluster("aifm")
+    with pytest.raises(RuntimeConfigError):
+        cluster.failover([LOST])
+    assert LOST in cluster.ring
+    cluster.lose_shard(LOST)
+    cluster.failover([LOST])
+    assert LOST not in cluster.ring
+
+
+def _corrupt(cluster, key, version, shard_ids):
+    """Plant a tag whose checksum does not match ``(key, version)``."""
+    bad = ReplicaTag(version, ReplicaTag.at(key, version).checksum ^ 1)
+    for sid in shard_ids:
+        cluster.shards[sid].store[key] = next_value(key, default_value(key))
+        cluster.shards[sid].tags[key] = bad
+
+
+@pytest.mark.parametrize("path", ["read_repair", "failover", "anti_entropy", "join"])
+def test_corrupt_replica_tag_is_refused(path):
+    """Every copy path verifies the tag it trusts: a planted tag whose
+    checksum does not match its version raises instead of spreading."""
+    cluster = _cluster("aifm", replication=2, write_quorum=1, read_quorum=2)
+    if path == "read_repair":
+        primary, stale = cluster.replicas(7)
+        _corrupt(cluster, 7, 5, [primary])
+        assert cluster.shards[stale].version_of(7) == 0
+        act = lambda: cluster.serve(7)
+    elif path == "failover":
+        key = next(k for k in range(N_KEYS) if LOST in cluster.replicas(k))
+        _corrupt(cluster, key, 5, [s for s in cluster.replicas(key) if s != LOST])
+        cluster.lose_shard(LOST)
+        act = lambda: cluster.failover([LOST])
+    elif path == "anti_entropy":
+        # A converged set: nothing is stale, the winner is still checked.
+        _corrupt(cluster, 7, 5, cluster.replicas(7))
+        act = cluster.anti_entropy
+    else:
+        for k in range(N_KEYS):
+            _corrupt(cluster, k, 5, cluster.replicas(k))
+        act = cluster.join_shard
+    with pytest.raises(DataIntegrityError):
+        act()
+
+
 def test_cannot_lose_the_last_shard():
     cluster = ShardedCluster(ClusterConfig(n_shards=1, n_keys=16))
     with pytest.raises(RuntimeConfigError):
@@ -430,3 +531,28 @@ def test_fuzz_replicated_partition_then_knockout(seed):
     assert stats["partitions"] == 1
     assert values == base_values
     assert cluster.anti_entropy() == 0
+
+
+@pytest.mark.parametrize(
+    "replication, markers",
+    [
+        (1, [("serve", "shard_lost", {"shard": 1}),
+             ("serve", "rebalance", {"removed": [1], "reseeded": 20})]),
+        (2, [("serve", "shard_lost", {"shard": 1}),
+             ("replica", "suspect", {"shards": [1]}),
+             ("replica", "failover",
+              {"removed": [1], "moved": 33, "promoted": 33, "reseeded": 0})]),
+    ],
+)
+def test_knockout_trace_markers(replication, markers):
+    """The documented markers of the traced knockout: R=1 re-seeds
+    under ``serve/rebalance``; R=2 detects and fails over under
+    ``replica/suspect`` and ``replica/failover``."""
+    from repro.trace.drivers import run_traced
+
+    run = run_traced("serve", "trackfm", seed=0, replication=replication)
+    observed = [
+        (ev.cat, ev.name, ev.args) for ev in run.tracer.events
+        if ev.cat in ("serve", "replica") and ev.name != "request"
+    ]
+    assert observed == markers
