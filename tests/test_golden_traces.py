@@ -26,12 +26,16 @@ from repro.trace import normalize_events, run_traced
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 #: The snapshotted configurations: both workloads under the two
-#: runtimes with the richest event vocabulary, at fixed seeds.
+#: runtimes with the richest event vocabulary, the two hybrid tiers'
+#: replays, and the sharded serving workload, at fixed seeds.
 CASES = [
     ("stream", "trackfm", 0),
     ("hashmap", "trackfm", 0),
     ("stream", "fastswap", 0),
     ("hashmap", "aifm", 0),
+    ("stream", "hybrid", 0),
+    ("hashmap", "adaptive", 0),
+    ("serve", "hybrid", 0),
 ]
 
 
