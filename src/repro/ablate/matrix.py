@@ -29,6 +29,7 @@ from typing import Optional, Tuple
 from repro.ablate.registry import COMPONENTS, Component
 from repro.integrity.config import IntegrityConfig, parse_integrity_spec
 from repro.net.faults import FaultPlan, parse_fault_spec
+from repro.runtimes import RUNTIME_KINDS
 
 #: Every workload on the scenario axis (the three new ones included).
 WORKLOADS: Tuple[str, ...] = ("chase", "extsort", "graph", "hashmap", "stream", "webcache")
@@ -36,7 +37,7 @@ WORKLOADS: Tuple[str, ...] = ("chase", "extsort", "graph", "hashmap", "stream", 
 #: Workloads with a compiled-IR form (run under trackfm as IR cells).
 IR_WORKLOADS: Tuple[str, ...] = ("chase", "hashmap", "stream")
 
-RUNTIMES: Tuple[str, ...] = ("adaptive", "aifm", "fastswap", "hybrid", "trackfm")
+RUNTIMES: Tuple[str, ...] = tuple(sorted(RUNTIME_KINDS))
 QUICK_RUNTIMES: Tuple[str, ...] = ("adaptive", "hybrid", "trackfm")
 
 SCENARIOS: Tuple[str, ...] = ("clean", "faulty", "corrupt")

@@ -87,7 +87,6 @@ class ObjectPool:
         config: PoolConfig,
         backend: Optional[RemoteBackend] = None,
         metrics: Optional[Metrics] = None,
-        tracer=None,
     ) -> None:
         self.config = config
         self.backend = backend if backend is not None else make_tcp_backend()
@@ -100,7 +99,7 @@ class ObjectPool:
         if integrity is not None and integrity.metrics is None:
             integrity.metrics = self.metrics
         #: Trace sink (disabled by default: one attribute check per event site).
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = NULL_TRACER
         #: Degraded-mode hook: when the remote tier is unavailable
         #: (:class:`FarMemoryUnavailableError` out of the backend), a
         #: non-None handler is called as ``handler(obj_id) -> stall

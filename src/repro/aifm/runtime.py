@@ -9,8 +9,7 @@ the developer.  TrackFM reuses everything below the smart-pointer layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.aifm.allocator import Allocation, RegionAllocator
 from repro.aifm.pool import ObjectPool, PoolConfig
@@ -27,6 +26,7 @@ from repro.integrity import (
 from repro.machine.costs import AccessKind
 from repro.net.backends import RemoteBackend
 from repro.sim.metrics import Metrics
+from repro.trace.tracer import NULL_TRACER
 from repro.units import ceil_div
 
 #: Cycles of AIFM's smart-pointer indirection on a hot (local) deref.
@@ -37,26 +37,23 @@ from repro.units import ceil_div
 AIFM_DEREF_OVERHEAD = 9.0
 
 
-class AIFMRuntime:
-    """Object-granular far memory with library (not compiler) knowledge."""
+class PooledRuntime:
+    """What every object-pool runtime shares: the pool and its allocator,
+    and the tracer, integrity, recovery, degraded-mode and backend
+    plumbing around them.  Subclasses add their access paths."""
 
     def __init__(
-        self,
-        config: PoolConfig,
-        backend: Optional[RemoteBackend] = None,
-        prefetch_depth: int = 8,
-        deref_overhead: float = AIFM_DEREF_OVERHEAD,
-        tracer=None,
+        self, config: PoolConfig, backend: Optional[RemoteBackend] = None
     ) -> None:
         self.config = config
-        self.pool = ObjectPool(config, backend=backend, tracer=tracer)
+        self.pool = ObjectPool(config, backend=backend)
         self.allocator = RegionAllocator(config.heap_size, config.object_size)
-        self.prefetcher = StridePrefetcher(depth=prefetch_depth) if prefetch_depth else None
-        self.deref_overhead = deref_overhead
         self.object_size = config.object_size
+        self.tracer = NULL_TRACER
 
     def set_tracer(self, tracer) -> None:
-        """Attach a tracer (the pool is this runtime's only event source)."""
+        """Attach a tracer to the pool and its backend."""
+        self.tracer = tracer
         self.pool.tracer = tracer
         self.pool.backend.set_tracer(tracer)
 
@@ -66,17 +63,21 @@ class AIFMRuntime:
         """Checksum-verify every remote fetch (detect → repair → quarantine).
 
         Attaches an :class:`~repro.integrity.IntegrityChecker` to the
-        pool's backend and wires it into this runtime's metrics and
-        tracer; dirty writebacks start following the write-ahead
-        evacuation journal.  Returns the checker.
+        pool's backend, wired into this runtime's metrics and tracer;
+        dirty writebacks start following the write-ahead evacuation
+        journal.  Returns the checker.
         """
         checker = attach_integrity(self.pool.backend, config)
         checker.metrics = self.pool.metrics
-        checker.tracer = self.pool.tracer
+        checker.tracer = self.tracer
         return checker
 
     def recover(self) -> RecoveryReport:
-        """Replay/roll back the evacuation journal and rebuild residency."""
+        """Replay/roll back the evacuation journal and rebuild residency.
+
+        The pool's metadata array is rebuilt *in place*, so anything
+        aliasing it (TrackFM's state table) observes the recovered words.
+        """
         return RecoveryManager.for_pool(self.pool).recover()
 
     def enable_degraded_mode(
@@ -84,32 +85,54 @@ class AIFMRuntime:
         stall_cycles: float = 0.0,
         hook=None,
     ) -> None:
-        """Serve derefs locally when far memory is unavailable.
+        """Serve accesses locally when far memory is unavailable.
 
-        Same semantics as
-        :meth:`repro.trackfm.runtime.TrackFMRuntime.enable_degraded_mode`
-        — both runtimes share the pool-level hook.
+        Without this, an open circuit breaker surfaces
+        :class:`~repro.errors.FarMemoryUnavailableError` to the program.
+        With it, the pool's slow path falls back to the local tier: each
+        degraded access charges ``stall_cycles`` (or whatever
+        ``hook(obj_id)`` returns) and is counted in
+        ``metrics.degraded_accesses``.
         """
         if hook is not None:
             self.pool.degraded_handler = hook
         else:
             self.pool.degraded_handler = lambda _obj_id: stall_cycles
 
-    def remote_backends(self) -> tuple:
+    def remote_backends(self) -> Tuple[RemoteBackend, ...]:
         """Every far node this runtime talks to (one: the pool's).
 
-        Uniform across the four runtimes; the serving layer uses it to
-        treat each shard's backends as one fault domain.
+        The uniform hook the sharded serving layer uses to reach a
+        runtime's fault domains — arming a shard-loss schedule, reading
+        breaker state — without knowing which runtime kind it holds.
         """
         return (self.pool.backend,)
 
     @property
-    def tracer(self):
-        return self.pool.tracer
-
-    @property
     def metrics(self) -> Metrics:
         return self.pool.metrics
+
+    def _free_region(self, offset: int) -> None:
+        """Free the allocation at heap ``offset``; objects no live
+        allocation still shares leave the pool."""
+        freed = self.allocator.free(offset)
+        first, last = freed.object_range(self.object_size)
+        for obj_id in range(first, last):
+            if self.allocator.allocation_at(obj_id * self.object_size) is None:
+                self.pool.free_object(obj_id)
+
+
+class AIFMRuntime(PooledRuntime):
+    """Object-granular far memory with library (not compiler) knowledge."""
+
+    def __init__(
+        self,
+        config: PoolConfig,
+        backend: Optional[RemoteBackend] = None,
+        prefetch_depth: int = 8,
+    ) -> None:
+        super().__init__(config, backend)
+        self.prefetcher = StridePrefetcher(depth=prefetch_depth) if prefetch_depth else None
 
     # -- allocation -----------------------------------------------------
 
@@ -118,12 +141,7 @@ class AIFMRuntime:
         return self.allocator.allocate(size)
 
     def free(self, alloc: Allocation) -> None:
-        freed = self.allocator.free(alloc.offset)
-        first, last = freed.object_range(self.object_size)
-        for obj_id in range(first, last):
-            # Only whole-object frees drop residency; shared regions stay.
-            if self.allocator.allocation_at(obj_id * self.object_size) is None:
-                self.pool.free_object(obj_id)
+        self._free_region(alloc.offset)
 
     def scope(self) -> DerefScope:
         """A DerefScope over this runtime's pool (Listing 1 style)."""
@@ -150,7 +168,7 @@ class AIFMRuntime:
         if size <= 0:
             raise PointerError("access size must be positive")
         costs = self.config.costs
-        cycles = self.deref_overhead + costs.local_access
+        cycles = AIFM_DEREF_OVERHEAD + costs.local_access
         write = kind is AccessKind.WRITE
         first = self.pool.object_of_offset(offset)
         last = self.pool.object_of_offset(offset + size - 1)
@@ -188,7 +206,7 @@ class AIFMRuntime:
         costs = self.config.costs
         total_bytes = n_elems * elem_size
         n_objects = max(1, ceil_div(total_bytes, self.object_size))
-        per_elem = self.deref_overhead + costs.local_access
+        per_elem = AIFM_DEREF_OVERHEAD + costs.local_access
         cycles = n_elems * per_elem
         misses = int(round(n_objects * (1.0 - resident_fraction)))
         if misses:

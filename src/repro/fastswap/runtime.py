@@ -71,11 +71,14 @@ class FastswapRuntime:
     hardware page table at zero software cost; only faults cost cycles.
     """
 
+    #: Page-granular: no object pool (the runtime surface every kind
+    #: shares reads ``None`` here).
+    pool = None
+
     def __init__(
         self,
         config: FastswapConfig,
         backend: Optional[RemoteBackend] = None,
-        tracer=None,
     ) -> None:
         self.config = config
         self.backend = backend if backend is not None else make_rdma_backend()
@@ -86,7 +89,7 @@ class FastswapRuntime:
         if integrity is not None and integrity.metrics is None:
             integrity.metrics = self.metrics
         #: Trace sink (disabled by default: one attribute check per event site).
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = NULL_TRACER
         #: Degraded-mode hook, same contract as the object pool's:
         #: ``handler(page) -> stall cycles`` serves a major fault locally
         #: when the remote tier is unavailable.
@@ -190,7 +193,7 @@ class FastswapRuntime:
     def remote_backends(self) -> Tuple[RemoteBackend, ...]:
         """Every far node this runtime talks to (one: the swap target).
 
-        Uniform across the four runtimes; the serving layer uses it to
+        Uniform across the runtime kinds; the serving layer uses it to
         treat each shard's backends as one fault domain.
         """
         return (self.backend,)

@@ -50,6 +50,19 @@ __all__ = [
 ]
 
 
+#: Windows whose region-interleave rate is at or below this are
+#: sweep-shaped: page-tier over-commit is cheap for them (one fault per
+#: page per pass) and the adaptive capacity gate stands aside.
+OVERCOMMIT_INTERLEAVE_MAX = 0.125
+
+
+def _tier_budgets(local_memory: int, object_size: int) -> Tuple[int, int]:
+    """``(object, page)`` local budgets: half the memory per tier, at
+    least one object and one page."""
+    page_local = max(BASE_PAGE, local_memory // 2)
+    return max(object_size, local_memory - page_local), page_local
+
+
 @dataclass(frozen=True)
 class HybridHandle:
     """An allocation handle carrying its placement."""
@@ -75,14 +88,10 @@ class HybridRuntime:
         local_memory: int,
         heap_size: int,
         object_size: int = 256,
-        page_fraction: float = 0.5,
         object_backend=None,
         page_backend=None,
     ) -> None:
-        if not 0.0 < page_fraction < 1.0:
-            raise RuntimeConfigError("page_fraction must be in (0, 1)")
-        page_local = max(BASE_PAGE, int(local_memory * page_fraction))
-        object_local = max(object_size, local_memory - page_local)
+        object_local, page_local = _tier_budgets(local_memory, object_size)
         self.trackfm = TrackFMRuntime(
             PoolConfig(
                 object_size=object_size,
@@ -95,8 +104,6 @@ class HybridRuntime:
             FastswapConfig(local_memory=page_local, heap_size=heap_size),
             backend=page_backend,
         )
-        self.page_fraction = page_fraction
-        self._handles: Dict[int, HybridHandle] = {}
         #: Shadow page-tier allocations for object allocations served in
         #: fallback mode (keyed by the object allocation's address).
         self._fallback: Dict[int, int] = {}
@@ -104,10 +111,23 @@ class HybridRuntime:
         #: merged into :attr:`metrics` alongside both mechanisms'.
         self.extra_metrics = Metrics()
 
+    @property
+    def pool(self):
+        """The object tier's pool."""
+        return self.trackfm.pool
+
     def set_tracer(self, tracer) -> None:
         """Attach one tracer to both mechanisms (events share a timeline)."""
         self.trackfm.set_tracer(tracer)
         self.fastswap.set_tracer(tracer)
+
+    def enable_degraded_mode(self, stall_cycles: float = 0.0, hook=None) -> None:
+        """Serve the page tier locally when its far node is unavailable.
+
+        Only the page tier degrades in place: the object tier's degrade
+        step is the page-tier fallback, so a total outage lands here.
+        """
+        self.fastswap.enable_degraded_mode(stall_cycles, hook)
 
     def enable_integrity(self, config: Optional[IntegrityConfig] = None) -> None:
         """Arm checksum verification on both tiers.
@@ -139,7 +159,7 @@ class HybridRuntime:
     def remote_backends(self) -> tuple:
         """Both tiers' far nodes (object pool first, then swap target).
 
-        Uniform across the four runtimes; a hybrid shard is one fault
+        Uniform across the runtime kinds; a hybrid shard is one fault
         domain spanning two links, so losing the shard must arm both.
         """
         return self.trackfm.remote_backends() + self.fastswap.remote_backends()
@@ -151,9 +171,7 @@ class HybridRuntime:
             addr = self.trackfm.tfm_malloc(size)
         else:
             addr = self.fastswap.allocate(size)
-        handle = HybridHandle(placement, addr, size)
-        self._handles[addr] = handle
-        return handle
+        return HybridHandle(placement, addr, size)
 
     # -- access ---------------------------------------------------------
 
@@ -304,22 +322,16 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
         local_memory: int,
         heap_size: int,
         object_size: int = 256,
-        page_fraction: float = 0.5,
-        region_bytes: Optional[int] = None,
         epoch_accesses: int = 256,
         selector_config: SelectorConfig = SelectorConfig(),
-        overcommit_interleave_max: float = 0.125,
         adaptive: bool = True,
         object_backend=None,
         page_backend=None,
         cache=None,
     ) -> None:
-        if not 0.0 < page_fraction < 1.0:
-            raise RuntimeConfigError("page_fraction must be in (0, 1)")
         if epoch_accesses < 1:
             raise RuntimeConfigError("epoch_accesses must be >= 1")
-        page_local = max(BASE_PAGE, int(local_memory * page_fraction))
-        object_local = max(object_size, local_memory - page_local)
+        object_local, page_local = _tier_budgets(local_memory, object_size)
         super().__init__(
             PoolConfig(
                 object_size=object_size,
@@ -341,20 +353,9 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
         self.fastswap.metrics = self.pool.metrics
         if self.fastswap.backend.metrics is page_bundle:
             self.fastswap.backend.metrics = self.pool.metrics
-        self.page_fraction = page_fraction
-        self.region_bytes = (
-            region_bytes if region_bytes is not None else self.fastswap.page_size
-        )
-        if self.region_bytes % self.fastswap.page_size != 0:
-            raise RuntimeConfigError(
-                "region_bytes must be a multiple of the page size so "
-                "region shadows stay page-aligned"
-            )
+        #: One region per page, so region shadows stay page-aligned.
+        self.region_bytes = self.fastswap.page_size
         self.epoch_accesses = epoch_accesses
-        #: Windows whose region-interleave rate is at or below this are
-        #: sweep-shaped: page-tier over-commit is cheap for them (one
-        #: fault per page per pass) and the capacity gate stands aside.
-        self.overcommit_interleave_max = overcommit_interleave_max
         self.adaptive = adaptive
         self.profiler = DensityProfiler(
             self.region_bytes, object_size, self.fastswap.page_size
@@ -467,26 +468,21 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
         # region-at-a-time (a sweep faults each page once per pass no
         # matter the capacity).  Over-commit is allowed for sweep-shaped
         # windows and refused for interleaved ones, where it would turn
-        # every access into a fault.
-        region_pages = self.region_bytes // self.fastswap.page_size
+        # every access into a fault.  Each region is one page.
         capacity = self.fastswap.config.local_capacity_pages
-        sweep_shaped = interleave <= self.overcommit_interleave_max
-        placed = sum(
-            region_pages
-            for p in self._placement.values()
-            if p is Placement.PAGES
-        )
+        sweep_shaped = interleave <= OVERCOMMIT_INTERLEAVE_MAX
+        placed = sum(p is Placement.PAGES for p in self._placement.values())
         for region in sorted(stats):
             current = self._placement.get(region, Placement.OBJECTS)
             decision = self.selector.decide(stats[region], current)
             if decision is current:
                 continue
             if decision is Placement.PAGES:
-                if placed + region_pages > capacity and not sweep_shaped:
+                if placed >= capacity and not sweep_shaped:
                     continue
-                placed += region_pages
+                placed += 1
             else:
-                placed -= region_pages
+                placed -= 1
             self._placement[region] = decision
             moved = self._migrate_region(region, decision)
             metrics.tier_switches += 1
@@ -525,21 +521,17 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
             return count
         fs = self.fastswap
         shadow = self._shadow.get(region)
-        if shadow is not None:
+        page = fs.page_of(shadow) if shadow is not None else None
+        if page is not None and page in fs.residency:
             metrics = self.pool.metrics
-            first_page = fs.page_of(shadow)
-            for page in range(first_page, first_page + self.region_bytes // fs.page_size):
-                if page not in fs.residency:
-                    continue
-                dirty = fs.residency.is_dirty(page)
-                fs.residency.discard(page)
-                metrics.evictions += 1
-                if dirty:
-                    wb = fs.backend.link.wire_cycles(fs.page_size)
-                    cycles = wb * fs.config.writeback_sync_fraction
-                    metrics.bytes_evacuated += fs.page_size
-                    fs.backend.link.stats.bytes_evicted += fs.page_size
-                    metrics.cycles += cycles
+            dirty = fs.residency.is_dirty(page)
+            fs.residency.discard(page)
+            metrics.evictions += 1
+            if dirty:
+                wb = fs.backend.link.wire_cycles(fs.page_size)
+                metrics.bytes_evacuated += fs.page_size
+                fs.backend.link.stats.bytes_evicted += fs.page_size
+                metrics.cycles += wb * fs.config.writeback_sync_fraction
         return count
 
     def _on_evict(self, obj_id: int, dirty: bool) -> float:

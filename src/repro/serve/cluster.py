@@ -1,7 +1,7 @@
 """The sharded cluster: one logical object pool across N far nodes.
 
-Each shard is a complete far-memory stack — its own runtime (any of the
-four models), its own :class:`~repro.net.backends.RemoteBackend` with a
+Each shard is a complete far-memory stack — its own runtime (any kind
+of :mod:`repro.runtimes`), its own :class:`~repro.net.backends.RemoteBackend` with a
 private retry policy and circuit breaker, its own metrics bundle and
 latency histogram.  Nothing mutable is shared between shards, which is
 what makes a shard an *independent fault domain*: arming a dead fault
@@ -65,6 +65,7 @@ from repro.errors import DataIntegrityError, RuntimeConfigError
 from repro.machine.costs import AccessKind
 from repro.net.backends import make_shard_backend
 from repro.net.faults import FaultPlan
+from repro.runtimes import RUNTIME_KINDS, TIERS, build_runtime
 from repro.sim.metrics import Metrics
 from repro.trace.histogram import StreamingHistogram
 from repro.trace.tracer import NULL_TRACER
@@ -86,9 +87,6 @@ SLOT_BYTES = 8
 DEGRADED_STALL_CYCLES = 1_000.0
 
 _MASK64 = (1 << 64) - 1
-
-RUNTIME_KINDS = ("aifm", "trackfm", "fastswap", "hybrid", "adaptive")
-
 
 def default_value(key: int) -> int:
     """The value every key starts with (and re-seeds to after data loss)."""
@@ -208,103 +206,34 @@ class Shard:
         self._tenant_lru: Dict[int, OrderedDict] = {}
         self._build_runtime()
 
-    # -- runtime adapters ---------------------------------------------------
+    # -- the runtime --------------------------------------------------------
 
     def _build_runtime(self) -> None:
         config = self.config
-        plan = config.fault_plan
         heap = config.shard_heap_bytes
-        if config.runtime == "aifm":
-            from repro.aifm.pool import PoolConfig
-            from repro.aifm.runtime import AIFMRuntime
-
-            self.runtime = AIFMRuntime(
-                PoolConfig(
-                    object_size=config.object_size,
-                    local_memory=config.local_memory,
-                    heap_size=heap,
-                ),
-                backend=make_shard_backend("tcp", self.shard_id, plan),
-            )
-            self.runtime.allocate(heap)
-            self._base = 0
-        elif config.runtime == "trackfm":
-            from repro.aifm.pool import PoolConfig
-            from repro.trackfm.runtime import TrackFMRuntime
-
-            self.runtime = TrackFMRuntime(
-                PoolConfig(
-                    object_size=config.object_size,
-                    local_memory=config.local_memory,
-                    heap_size=heap,
-                ),
-                backend=make_shard_backend("tcp", self.shard_id, plan),
-            )
-            self._base = self.runtime.tfm_malloc(heap)
-        elif config.runtime == "fastswap":
-            from repro.fastswap.runtime import FastswapConfig, FastswapRuntime
-
-            # The kernel-paging tier needs at least one page of both
-            # local memory and heap, whatever the cluster sizing says.
-            page_heap = max(heap, BASE_PAGE)
-            self.runtime = FastswapRuntime(
-                FastswapConfig(
-                    local_memory=max(config.local_memory, BASE_PAGE),
-                    heap_size=page_heap,
-                ),
-                backend=make_shard_backend("rdma", self.shard_id, plan),
-            )
-            self._base = self.runtime.allocate(heap)
-        elif config.runtime == "adaptive":
-            from repro.hybrid.runtime import AdaptiveHybridRuntime
-
-            # A TrackFM-shaped shard whose guards route per-region: the
-            # selector moves hot slot regions onto the page tier online.
-            self.runtime = AdaptiveHybridRuntime(
-                local_memory=max(config.local_memory, 2 * BASE_PAGE),
-                heap_size=max(heap, BASE_PAGE),
-                object_size=config.object_size,
-                object_backend=make_shard_backend("tcp", self.shard_id, plan),
-                page_backend=make_shard_backend("rdma", self.shard_id, plan),
-            )
-            self._base = self.runtime.tfm_malloc(heap)
-        else:  # hybrid
-            from repro.hybrid.runtime import HybridRuntime, Placement
-
-            page_heap = max(heap, BASE_PAGE)
-            self.runtime = HybridRuntime(
-                local_memory=max(config.local_memory, 2 * BASE_PAGE),
-                heap_size=page_heap,
-                object_size=config.object_size,
-                object_backend=make_shard_backend("tcp", self.shard_id, plan),
-                page_backend=make_shard_backend("rdma", self.shard_id, plan),
-            )
-            half = max(config.object_size, align_up(heap // 2, config.object_size))
-            self._obj_handle = self.runtime.allocate(half, Placement.OBJECTS)
-            self._page_handle = self.runtime.allocate(max(heap - half, SLOT_BYTES), Placement.PAGES)
-            self._obj_half = half
-            self._base = 0
-        self._enable_degraded()
-
-    def _enable_degraded(self) -> None:
-        stall = DEGRADED_STALL_CYCLES
-        runtime = self.runtime
-        if self.config.runtime == "hybrid":
-            # The object tier's own rung is the page-tier fallback; the
-            # page tier still needs a local degraded mode for a total
-            # shard outage.
-            runtime.fastswap.enable_degraded_mode(stall_cycles=stall)
-        else:
-            runtime.enable_degraded_mode(stall_cycles=stall)
+        local, heap_size = config.local_memory, heap
+        has_objects, has_pages = TIERS[config.runtime]
+        if has_pages:
+            # A page tier needs at least one page of heap, and one page
+            # of local memory per tier, whatever the cluster sizing says.
+            local = max(local, BASE_PAGE * (has_objects + has_pages))
+            heap_size = max(heap, BASE_PAGE)
+        #: The runtime and the access path over the shard's slot heap.
+        self.arena = build_runtime(
+            config.runtime, heap, local, heap_size, config.object_size,
+            # Hybrid: the object tier holds the first half of the slots,
+            # in whole objects.
+            split=max(config.object_size, align_up(heap // 2, config.object_size)),
+            object_backend=make_shard_backend("tcp", self.shard_id, config.fault_plan),
+            page_backend=make_shard_backend("rdma", self.shard_id, config.fault_plan),
+        )
+        self.runtime = self.arena.runtime
+        self.runtime.enable_degraded_mode(stall_cycles=DEGRADED_STALL_CYCLES)
 
     @property
     def pool(self):
-        """The shard's object pool, if its runtime kind has one."""
-        if self.config.runtime in ("aifm", "trackfm", "adaptive"):
-            return self.runtime.pool
-        if self.config.runtime == "hybrid":
-            return self.runtime.trackfm.pool
-        return None
+        """The shard's object pool (None for the kernel-paging kind)."""
+        return self.runtime.pool
 
     @property
     def metrics(self) -> Metrics:
@@ -355,18 +284,7 @@ class Shard:
     def service(self, key: int, kind: AccessKind, tenant: int) -> float:
         """One request against this far node; returns service cycles."""
         offset = self.slot_of(key)
-        runtime = self.runtime
-        if self.config.runtime == "hybrid":
-            if offset < self._obj_half:
-                cycles = runtime.access(self._obj_handle, offset, kind, SLOT_BYTES)
-            else:
-                cycles = runtime.access(
-                    self._page_handle, offset - self._obj_half, kind, SLOT_BYTES
-                )
-        elif self.config.runtime in ("trackfm", "adaptive"):
-            cycles = runtime.access(self._base + offset, kind, SLOT_BYTES)
-        else:
-            cycles = runtime.access(self._base + offset, kind, size=SLOT_BYTES)
+        cycles = self.arena.access(offset, kind, SLOT_BYTES)
         cycles += self._enforce_quota(tenant, offset)
         return cycles
 
@@ -374,10 +292,7 @@ class Shard:
 
     def _enforce_quota(self, tenant: int, offset: int) -> float:
         quota = self.config.tenant_quota_objects
-        pool = self.pool
-        if quota is None or pool is None:
-            return 0.0
-        if self.config.runtime == "hybrid" and offset >= self._obj_half:
+        if quota is None or offset >= self.arena.object_bytes:
             # Page-tier slots have no per-tenant view (kernel paging).
             return 0.0
         obj_id = offset // self.config.object_size
@@ -392,7 +307,7 @@ class Shard:
         while len(lru) > quota:
             victim, _ = lru.popitem(last=False)
             self._obj_tenant.pop(victim, None)
-            cycles += pool.expel(victim)
+            cycles += self.pool.expel(victim)
         return cycles
 
     def tenant_residency(self, tenant: int) -> int:

@@ -20,7 +20,8 @@ import sys
 from pathlib import Path
 
 from repro.errors import RuntimeConfigError, TraceError
-from repro.trace.drivers import RUNTIMES, WORKLOADS, run_traced
+from repro.runtimes import RUNTIME_KINDS
+from repro.trace.drivers import WORKLOADS, run_traced
 from repro.trace.export import export_chrome_trace, export_jsonl
 
 
@@ -34,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which workload shape to run (default: stream)",
     )
     parser.add_argument(
-        "--runtime", choices=sorted(RUNTIMES), default="trackfm",
+        "--runtime", choices=sorted(RUNTIME_KINDS), default="trackfm",
         help="which runtime model to run it under (default: trackfm)",
     )
     parser.add_argument(

@@ -2,12 +2,12 @@
 
 Each registered workload is a small, deterministic program shape —
 ``stream`` (sequential write-then-sum passes) and ``hashmap`` (an
-LCG-scattered probe loop) — runnable under any of the four runtime
-models.  Under ``trackfm`` the workload is built as IR, compiled
-through the full pipeline (so the trace carries ``pass`` events), and
-interpreted on a far-memory runtime (``guard``/``fetch`` events).
-The other runtimes replay the same access pattern through their
-``access()`` paths.
+LCG-scattered probe loop) — runnable under every runtime kind of
+:mod:`repro.runtimes`.  Under ``trackfm`` the workload is built as IR,
+compiled through the full pipeline (so the trace carries ``pass``
+events), and interpreted on a far-memory runtime (``guard``/``fetch``
+events).  The other kinds replay the same access pattern through the
+table's ``access`` path.
 
 Everything here is deterministic for a given ``(workload, runtime,
 seed)``: no wall-clock or ``random`` state leaks into the simulated
@@ -24,6 +24,8 @@ from repro.errors import TraceError
 from repro.integrity import IntegrityConfig, installed_integrity_config
 from repro.machine.costs import AccessKind
 from repro.net.faults import FaultPlan, default_fault_plan, installed_fault_plan
+from repro.runtimes import RUNTIME_KINDS as RUNTIMES  # repro.trace.RUNTIMES
+from repro.runtimes import TIERS, RuntimeArena, build_runtime
 from repro.sim.metrics import Metrics
 from repro.trace.tracer import Tracer
 from repro.units import KB, MB
@@ -246,111 +248,42 @@ def _run_trackfm(workload: str, seed: int, tracer: Tracer) -> TraceRunResult:
     )
 
 
-def _replay(runtime_name: str, workload: str, seed: int, tracer: Tracer,
-            access: Callable[[int, AccessKind], float],
-            cycles_of: Callable[[], float],
-            metrics_of: Callable[[], Metrics]) -> TraceRunResult:
-    """Drive one access-pattern replay with phase bracketing."""
+def replay_runtime(
+    kind: str,
+    arena: int,
+    use_clock: bool = True,
+    prefetch: bool = True,
+    adaptive: bool = True,
+) -> RuntimeArena:
+    """``kind`` at the replay sizing over an ``arena``-byte region.
+
+    Each tier the kind runs brings its own local budget (objects
+    :data:`OBJECT_LOCAL`, pages :data:`PAGE_LOCAL`), so a hybrid holds
+    both; the hybrid's object/page split is the arena's 8-byte-aligned
+    half.  The postures are :func:`~repro.runtimes.build_runtime`'s.
+    """
+    has_objects, has_pages = TIERS[kind]
+    return build_runtime(
+        kind, arena, OBJECT_LOCAL * has_objects + PAGE_LOCAL * has_pages,
+        HEAP, OBJECT_SIZE,
+        use_clock=use_clock, prefetch=prefetch, adaptive=adaptive,
+    )
+
+
+def _run_replay(kind: str, workload: str, seed: int, tracer: Tracer) -> TraceRunResult:
+    """Replay the workload's access pattern through ``kind``'s access path."""
+    runtime, access, _ = replay_runtime(kind, ARRAY_BYTES)
+    runtime.set_tracer(tracer)
+    if default_fault_plan() is not None:
+        runtime.enable_degraded_mode(stall_cycles=DEGRADED_STALL_CYCLES)
     checksum = 0
-    with tracer.phase(f"workload:{workload}", cycles_of):
-        for offset, kind in _PATTERNS[workload](seed):
-            access(offset, kind)
+    with tracer.phase(f"workload:{workload}", lambda: runtime.metrics.cycles):
+        for offset, op in _PATTERNS[workload](seed):
+            access(offset, op, ELEM)
             checksum = (checksum * 31 + offset + 1) & 0xFFFFFFFF
     return TraceRunResult(
-        workload, runtime_name, seed, tracer, checksum, cycles_of(),
-        metrics_of().snapshot(),
-    )
-
-
-def _run_aifm(workload: str, seed: int, tracer: Tracer) -> TraceRunResult:
-    from repro.aifm.pool import PoolConfig
-    from repro.aifm.runtime import AIFMRuntime
-
-    runtime = AIFMRuntime(
-        PoolConfig(
-            object_size=OBJECT_SIZE, local_memory=OBJECT_LOCAL, heap_size=HEAP
-        )
-    )
-    runtime.set_tracer(tracer)
-    if default_fault_plan() is not None:
-        runtime.enable_degraded_mode(stall_cycles=DEGRADED_STALL_CYCLES)
-    runtime.allocate(ARRAY_BYTES)
-    return _replay(
-        "aifm", workload, seed, tracer,
-        lambda off, kind: runtime.access(off, kind, size=ELEM),
-        lambda: runtime.metrics.cycles,
-        lambda: runtime.metrics,
-    )
-
-
-def _run_fastswap(workload: str, seed: int, tracer: Tracer) -> TraceRunResult:
-    from repro.fastswap.runtime import FastswapConfig, FastswapRuntime
-
-    runtime = FastswapRuntime(
-        FastswapConfig(local_memory=PAGE_LOCAL, heap_size=HEAP)
-    )
-    runtime.set_tracer(tracer)
-    if default_fault_plan() is not None:
-        runtime.enable_degraded_mode(stall_cycles=DEGRADED_STALL_CYCLES)
-    runtime.allocate(ARRAY_BYTES)
-    return _replay(
-        "fastswap", workload, seed, tracer,
-        lambda off, kind: runtime.access(off, kind, size=ELEM),
-        lambda: runtime.metrics.cycles,
-        lambda: runtime.metrics,
-    )
-
-
-def _run_hybrid(workload: str, seed: int, tracer: Tracer) -> TraceRunResult:
-    from repro.hybrid.runtime import HybridRuntime, Placement
-
-    runtime = HybridRuntime(
-        local_memory=OBJECT_LOCAL + PAGE_LOCAL,
-        heap_size=HEAP,
-        object_size=OBJECT_SIZE,
-    )
-    runtime.set_tracer(tracer)
-    # Under faults, the hybrid's own fallback (object tier → page tier)
-    # handles object-side outages; the page tier still needs a local
-    # degraded mode so a total outage degrades instead of raising.
-    if default_fault_plan() is not None:
-        runtime.fastswap.enable_degraded_mode(stall_cycles=DEGRADED_STALL_CYCLES)
-    # Half the array on guarded objects, half on kernel pages — the
-    # §5 split this runtime exists to model.
-    half = ARRAY_BYTES // 2
-    objects = runtime.allocate(half, Placement.OBJECTS)
-    pages = runtime.allocate(half, Placement.PAGES)
-
-    def access(offset: int, kind: AccessKind) -> float:
-        if offset < half:
-            return runtime.access(objects, offset, kind, size=ELEM)
-        return runtime.access(pages, offset - half, kind, size=ELEM)
-
-    return _replay(
-        "hybrid", workload, seed, tracer, access,
-        lambda: runtime.metrics.cycles,
-        lambda: runtime.metrics,
-    )
-
-
-def _run_adaptive(workload: str, seed: int, tracer: Tracer) -> TraceRunResult:
-    from repro.hybrid.runtime import AdaptiveHybridRuntime
-
-    runtime = AdaptiveHybridRuntime(
-        local_memory=OBJECT_LOCAL + PAGE_LOCAL,
-        heap_size=HEAP,
-        object_size=OBJECT_SIZE,
-    )
-    runtime.set_tracer(tracer)
-    if default_fault_plan() is not None:
-        runtime.enable_degraded_mode(stall_cycles=DEGRADED_STALL_CYCLES)
-    runtime.initialize()
-    ptr = runtime.tfm_malloc(ARRAY_BYTES)
-    return _replay(
-        "adaptive", workload, seed, tracer,
-        lambda off, kind: runtime.access(ptr + off, kind, size=ELEM),
-        lambda: runtime.metrics.cycles,
-        lambda: runtime.metrics,
+        workload, kind, seed, tracer, checksum, runtime.metrics.cycles,
+        runtime.metrics.snapshot(),
     )
 
 
@@ -404,14 +337,6 @@ def _run_serve(
     )
 
 
-RUNTIMES: Dict[str, Callable[[str, int, Tracer], TraceRunResult]] = {
-    "trackfm": _run_trackfm,
-    "aifm": _run_aifm,
-    "fastswap": _run_fastswap,
-    "hybrid": _run_hybrid,
-    "adaptive": _run_adaptive,
-}
-
 WORKLOADS: Tuple[str, ...] = tuple(sorted((*_PATTERNS, "serve")))
 
 
@@ -463,4 +388,8 @@ def run_traced(
             stack.enter_context(installed_integrity_config(integrity))
         if workload == "serve":
             return _run_serve(runtime, seed, tracer, replication=replication)
-        return RUNTIMES[runtime](workload, seed, tracer)
+        if runtime == "trackfm":
+            # TrackFM runs the workload compiled; every other kind
+            # replays its access pattern.
+            return _run_trackfm(workload, seed, tracer)
+        return _run_replay(runtime, workload, seed, tracer)

@@ -19,25 +19,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.aifm.allocator import Allocation, RegionAllocator
-from repro.aifm.pool import ObjectPool, PoolConfig
+from repro.aifm.allocator import Allocation
+from repro.aifm.pool import PoolConfig
 from repro.aifm.prefetcher import ProgrammedSchedule, StridePrefetcher
+from repro.aifm.runtime import PooledRuntime
 from repro.errors import PointerError, RuntimeConfigError
-from repro.integrity import (
-    IntegrityChecker,
-    IntegrityConfig,
-    RecoveryManager,
-    RecoveryReport,
-    attach_integrity,
-)
 from repro.machine.cache import CacheModel
 from repro.machine.costs import AccessKind, GuardKind
 from repro.net.backends import RemoteBackend
-from repro.sim.metrics import Metrics
-from repro.trace.tracer import NULL_TRACER
-from repro.trackfm.guards import GuardEngine, GuardResult
+from repro.trackfm.guards import GuardEngine
 from repro.trackfm.pointer import (
     decode_tfm_pointer,
     encode_tfm_pointer,
@@ -67,7 +59,7 @@ class _ChunkState:
     pinned: bool = False
 
 
-class TrackFMRuntime:
+class TrackFMRuntime(PooledRuntime):
     """Far memory for unmodified programs, at AIFM-object granularity."""
 
     def __init__(
@@ -80,83 +72,22 @@ class TrackFMRuntime:
     ) -> None:
         if prefetch_depth < 1:
             raise RuntimeConfigError("prefetch_depth must be >= 1")
-        self.config = config
-        self.pool = ObjectPool(config, backend=backend)
+        super().__init__(config, backend)
         self.table = ObjectStateTable(self.pool, cache=cache)
         self.guards = GuardEngine(self.pool, self.table)
-        self.allocator = RegionAllocator(config.heap_size, config.object_size)
         self.prefetcher = StridePrefetcher(depth=prefetch_depth)
         self.prefetch_depth = prefetch_depth
-        self.object_size = config.object_size
         self._chunks: Dict[int, _ChunkState] = {}
         #: Compiler-programmed prefetch schedules, keyed by chunk stream.
         self._psched: Dict[int, ProgrammedSchedule] = {}
         self.initialized = False
-        self.tracer = NULL_TRACER
         if tracer is not None:
             self.set_tracer(tracer)
 
     def set_tracer(self, tracer) -> None:
         """Attach a tracer to every event source in this runtime."""
-        self.tracer = tracer
-        self.pool.tracer = tracer
+        super().set_tracer(tracer)
         self.guards.tracer = tracer
-        self.pool.backend.set_tracer(tracer)
-
-    def enable_integrity(
-        self, config: Optional[IntegrityConfig] = None
-    ) -> IntegrityChecker:
-        """Checksum-verify every remote fetch (detect → repair → quarantine).
-
-        Attaches an :class:`~repro.integrity.IntegrityChecker` to the
-        pool's backend, wired into this runtime's metrics and tracer;
-        dirty writebacks start following the write-ahead evacuation
-        journal.  Returns the checker.
-        """
-        checker = attach_integrity(self.pool.backend, config)
-        checker.metrics = self.pool.metrics
-        checker.tracer = self.tracer
-        return checker
-
-    def recover(self) -> RecoveryReport:
-        """Replay/roll back the evacuation journal and rebuild residency.
-
-        The pool's metadata array is rebuilt *in place*, so the state
-        table (which aliases it) observes the recovered words directly.
-        """
-        return RecoveryManager.for_pool(self.pool).recover()
-
-    def enable_degraded_mode(
-        self,
-        stall_cycles: float = 0.0,
-        hook=None,
-    ) -> None:
-        """Serve accesses locally when far memory is unavailable.
-
-        Without this, an open circuit breaker surfaces
-        :class:`~repro.errors.FarMemoryUnavailableError` through the
-        guard to the program.  With it, the guard's slow path falls back
-        to the local tier: each degraded access charges ``stall_cycles``
-        (or whatever ``hook(obj_id)`` returns) and is counted in
-        ``metrics.degraded_accesses``.
-        """
-        if hook is not None:
-            self.pool.degraded_handler = hook
-        else:
-            self.pool.degraded_handler = lambda _obj_id: stall_cycles
-
-    def remote_backends(self) -> Tuple[RemoteBackend, ...]:
-        """Every far node this runtime talks to (one: the pool's).
-
-        The uniform hook the sharded serving layer uses to reach a
-        runtime's fault domains — arming a shard-loss schedule, reading
-        breaker state — without knowing which runtime kind it holds.
-        """
-        return (self.pool.backend,)
-
-    @property
-    def metrics(self) -> Metrics:
-        return self.pool.metrics
 
     @property
     def costs(self):
@@ -198,11 +129,7 @@ class TrackFMRuntime:
     def tfm_free(self, ptr: int) -> None:
         if not is_tfm_pointer(ptr):
             raise PointerError(f"tfm_free of non-TrackFM pointer {ptr:#x}")
-        alloc = self.allocator.free(decode_tfm_pointer(ptr))
-        first, last = alloc.object_range(self.object_size)
-        for obj_id in range(first, last):
-            if self.allocator.allocation_at(obj_id * self.object_size) is None:
-                self.pool.free_object(obj_id)
+        self._free_region(decode_tfm_pointer(ptr))
 
     def allocation_of(self, ptr: int) -> Allocation:
         """The live allocation containing ``ptr`` (debug/testing aid)."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.aifm.pool import PoolConfig
-from repro.aifm.runtime import AIFMRuntime
+from repro.aifm.runtime import AIFM_DEREF_OVERHEAD, AIFMRuntime
 from repro.aifm.datastructures import RemoteArray, RemoteHashMap
 from repro.errors import PointerError, WorkloadError
 from repro.machine.costs import AccessKind
@@ -33,8 +33,8 @@ class TestAIFMRuntime:
         alloc = rt.allocate(8)
         rt.access(alloc.offset)
         hot = rt.access(alloc.offset)
-        assert hot == rt.deref_overhead + rt.config.costs.local_access
-        assert rt.deref_overhead < 21
+        assert hot == AIFM_DEREF_OVERHEAD + rt.config.costs.local_access
+        assert AIFM_DEREF_OVERHEAD < 21
 
     def test_scope_pins_across_accesses(self):
         rt = make_runtime(local_objects=2)

@@ -37,6 +37,7 @@ from repro.net.faults import (
     parse_fault_spec,
 )
 from repro.net.link import NetworkLink, TransferDirection
+from repro.runtimes import RUNTIME_KINDS
 from repro.sim.metrics import Metrics
 from repro.trace.drivers import run_traced
 from repro.trackfm.runtime import TrackFMRuntime
@@ -171,9 +172,7 @@ class TestFaultSpecParsing:
 class TestSurvivableDifferential:
     """Values under survivable faults == fault-free golden values."""
 
-    @pytest.mark.parametrize(
-        "runtime", ["trackfm", "aifm", "fastswap", "hybrid", "adaptive"]
-    )
+    @pytest.mark.parametrize("runtime", RUNTIME_KINDS)
     @pytest.mark.parametrize("workload", ["stream", "hashmap"])
     def test_values_match_fault_free(self, workload, runtime):
         clean = run_traced(workload, runtime, seed=5)

@@ -12,7 +12,7 @@ from repro.compiler.heap_pruning import (
     trace_allocation_sites,
 )
 from repro.compiler.pipeline import ChunkingPolicy, CompilerConfig, TrackFMCompiler
-from repro.errors import PassError, PointerError, RuntimeConfigError
+from repro.errors import PassError, PointerError
 from repro.hybrid.runtime import HybridRuntime, Placement
 from repro.ir import IRBuilder, I64, PTR, Module, verify_module
 from repro.ir.instructions import Call, Load
@@ -253,7 +253,3 @@ class TestHybridRuntime:
         h = rt.allocate(64, Placement.OBJECTS)
         with pytest.raises(PointerError):
             rt.access(h, offset=60, size=8)
-
-    def test_invalid_fraction(self):
-        with pytest.raises(RuntimeConfigError):
-            HybridRuntime(64 * KB, 1 * MB, page_fraction=0.0)

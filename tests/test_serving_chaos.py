@@ -33,6 +33,7 @@ from repro.serve import (
     run_serving,
 )
 from repro.errors import DataIntegrityError, RuntimeConfigError
+from repro.runtimes import RUNTIME_KINDS
 from repro.serve.replication import ReplicaTag
 from repro.trace.tracer import Tracer
 
@@ -67,9 +68,7 @@ def _knockout_chaos(schedule, rebalance: bool = True):
     return chaos
 
 
-@pytest.mark.parametrize(
-    "runtime", ["aifm", "trackfm", "fastswap", "hybrid", "adaptive"]
-)
+@pytest.mark.parametrize("runtime", RUNTIME_KINDS)
 def test_knockout_run_completes_every_request(runtime):
     schedule = generate_schedule(TRAFFIC)
     cluster = _cluster(runtime)
@@ -146,7 +145,7 @@ def _adaptive_cluster_with_live_migrations() -> ShardedCluster:
         rt.epoch_accesses = 64
         for _ in range(16):
             for off in range(0, 4096, 64):
-                rt.access(shard._base + off, AccessKind.READ, size=8)
+                shard.arena.access(off, AccessKind.READ, 8)
         rt.rebalance()
     return cluster
 
