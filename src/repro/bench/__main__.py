@@ -42,7 +42,6 @@ from repro.bench import (
 from repro.bench.ablations import (
     ablation_chase_prefetch,
     ablation_chunk_setup,
-    ablation_evacuator_policy,
     ablation_heap_pruning,
     ablation_hybrid_memcached,
     ablation_multisize,
@@ -72,7 +71,6 @@ EXPERIMENTS: Dict[str, Callable] = {
     "compile_costs": compile_costs,
     "ablation_state_table": ablation_state_table,
     "ablation_prefetch_depth": ablation_prefetch_depth,
-    "ablation_evacuator_policy": ablation_evacuator_policy,
     "ablation_chunk_setup": ablation_chunk_setup,
     "ablation_heap_pruning": ablation_heap_pruning,
     "ablation_hybrid_memcached": ablation_hybrid_memcached,

@@ -7,7 +7,6 @@ experiments do the isolation:
   one dependent memory reference per guard vs AIFM's two-level scheme;
 * **prefetch depth** (§4.3): how deep the stride prefetcher's request
   pipeline must be before STREAM stops being latency-bound;
-* **evacuator policy**: AIFM-style hotness (CLOCK) vs plain LRU;
 * **chunk-setup sensitivity** (§3.4): how the Eq. 3 crossover moves
   with the per-loop-entry setup cost;
 * **heap pruning** (§5 extension): profile-guided pinning of hot
@@ -20,19 +19,15 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.bench.harness import CPU_HZ, ExperimentResult
 from repro.machine.costs import DEFAULT_COSTS
 from repro.machine.scale import ScaleModel
 from repro.net.backends import make_tcp_backend
-from repro.sim.residency import ResidencySet
 from repro.trackfm.runtime import GuardStrategy, TrackFMRuntime
 from repro.aifm.pool import PoolConfig
 from repro.units import GB, KB, MB
 from repro.workloads.memcached import MemcachedWorkload
 from repro.workloads.stream import StreamWorkload
-from repro.workloads.zipf import ZipfGenerator
 
 #: Extra cycles per fast-path guard when metadata needs AIFM's second
 #: dependent reference instead of the state table's indexed load.
@@ -90,31 +85,6 @@ def ablation_prefetch_depth(
     )
     wire = link.wire_cycles(4 * KB)
     result.note(f"bandwidth floor (pure wire time): {wire:.0f} cycles")
-    return result
-
-
-def ablation_evacuator_policy(
-    local_fractions: Sequence[float] = (0.05, 0.1, 0.25, 0.5),
-) -> ExperimentResult:
-    """CLOCK (AIFM-style hotness) vs plain LRU under zipf object traffic."""
-    n_objects = 4096
-    n_accesses = 60_000
-    gen = ZipfGenerator(n_objects, 1.05, seed=42)
-    trace = gen.sample(n_accesses)
-    result = ExperimentResult(
-        "ablation_evacuator_policy",
-        "Evacuator victim selection: CLOCK vs LRU (zipf 1.05 objects)",
-        "local capacity [% of objects]",
-        [f"{f:.0%}" for f in local_fractions],
-        "miss rate",
-    )
-    for use_clock, label in ((True, "CLOCK (hot bits)"), (False, "LRU")):
-        rates: List[float] = []
-        for frac in local_fractions:
-            rs = ResidencySet(max(1, int(n_objects * frac)), use_clock=use_clock)
-            misses = sum(0 if rs.access(int(o)).hit else 1 for o in trace)
-            rates.append(misses / n_accesses)
-        result.add_series(label, rates)
     return result
 
 
@@ -352,39 +322,10 @@ def ablation_multisize(
 
 def ablation_offload() -> ExperimentResult:
     """Computation offload (§5 extension): remote reduce vs fetch-and-sum."""
+    from repro.bench.compile_costs import _build_sum_loop
     from repro.compiler.pipeline import ChunkingPolicy, CompilerConfig, TrackFMCompiler
-    from repro.ir import IRBuilder, I64, PTR, Module
-    from repro.ir.values import Constant
     from repro.machine.cache import AlwaysHitCache
     from repro.sim.irrun import TrackFMProgram
-
-    N = 32_768  # 256 KB summed once; 16 KB local
-
-    def build() -> Module:
-        m = Module("offload-ablation")
-        f = m.add_function("main", I64)
-        entry, header, body, done = (
-            f.add_block(x) for x in ("entry", "header", "body", "done")
-        )
-        b = IRBuilder(entry)
-        p = b.call(PTR, "malloc", [Constant(I64, N * 8)], name="p")
-        b.br(header)
-        b.set_block(header)
-        i = b.phi(I64, name="i")
-        s = b.phi(I64, name="s")
-        b.condbr(b.icmp("slt", i, N), body, done)
-        b.set_block(body)
-        v = b.load(I64, b.gep(p, i, 8))
-        s2 = b.add(s, v)
-        i2 = b.add(i, 1)
-        b.br(header)
-        i.add_incoming(Constant(I64, 0), entry)
-        i.add_incoming(i2, body)
-        s.add_incoming(Constant(I64, 0), entry)
-        s.add_incoming(s2, body)
-        b.set_block(done)
-        b.ret(s)
-        return m
 
     result = ExperimentResult(
         "ablation_offload",
@@ -396,7 +337,7 @@ def ablation_offload() -> ExperimentResult:
     cycles: List[float] = []
     fetched: List[float] = []
     for offload in (False, True):
-        module = build()
+        module = _build_sum_loop(32_768)  # 256 KB summed once; 16 KB local
         config = CompilerConfig(
             chunking=ChunkingPolicy.COST_MODEL,
             enable_offload=offload,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.ablations import ablation_hybrid_memcached
 from repro.bench.harness import ExperimentResult
 from repro.bench.stream_figs import fig07, fig10, fig11, fig12
 from repro.bench.hashmap_figs import fig09
@@ -99,6 +100,15 @@ class TestMemcachedRegions:
         hybrid = wl.run_hybrid(64, local)
         fsw = wl.run_fastswap(local)
         assert hybrid.cycles < fsw.cycles
+
+    def test_hybrid_tracks_trackfm_and_beats_fastswap(self):
+        # Zipf skews 1.0..1.3 at 1/512 of the paper's 12 GB working set.
+        result = ablation_hybrid_memcached()
+        hyb = result.get("Hybrid").values
+        fsw = result.get("Fastswap").values
+        tfm = result.get("TrackFM").values
+        assert all(h > f for h, f in zip(hyb, fsw))
+        assert all(h > 0.9 * t for h, t in zip(hyb, tfm))
 
     def test_hybrid_splits_traffic(self):
         wl = self.make()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.aifm.pool import PoolConfig
 from repro.analysis.profiler import profile_module
+from repro.bench.ablations import ablation_heap_pruning
 from repro.compiler.autotune import autotune_object_size
 from repro.compiler.heap_pruning import (
     ELIDED_MD,
@@ -176,6 +177,14 @@ class TestHeapPruning:
         assert pruned_value == base_value  # semantics preserved
         assert pruned_metrics.cycles < base_metrics.cycles
         assert pruned_metrics.total_guards < base_metrics.total_guards
+
+    def test_pinning_the_hot_table_saves_cycles_and_guards(self):
+        # 64-entry hot table + 8192-element cold scan, 1 KB pin budget.
+        result = ablation_heap_pruning()
+        base, pruned = result.get("cycles").values
+        base_g, pruned_g = result.get("guards").values
+        assert pruned < base
+        assert pruned_g < base_g
 
     def test_budget_respected(self):
         # A 1-byte budget pins nothing.

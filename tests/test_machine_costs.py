@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.ablations import ablation_chunk_setup
 from repro.errors import RuntimeConfigError
 from repro.machine.costs import AccessKind, CostTable, DEFAULT_COSTS, GuardKind
 
@@ -38,6 +39,14 @@ def test_chunking_crossover_near_paper_730():
     # §3.4 / Fig. 6: break-even at ~730 elements per object.
     d_star = DEFAULT_COSTS.chunking_crossover_density()
     assert 650 < d_star < 800
+
+
+def test_chunking_crossover_rises_with_setup_cost():
+    result = ablation_chunk_setup()
+    crossovers = result.get("d*").values
+    assert crossovers == sorted(crossovers)
+    default_idx = result.x_values.index(12700)
+    assert 650 < crossovers[default_idx] < 800
 
 
 def test_boundary_check_cheaper_than_fast_guard():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.ablations import ablation_multisize
 from repro.compiler.size_classes import recommend_object_sizes
 from repro.errors import PointerError, RuntimeConfigError
 from repro.ir import IRBuilder, I64, PTR, Module
@@ -97,6 +98,15 @@ class TestMultiPoolRuntime:
         )
         assert rt.runtime_of_class(64).config.local_memory == 256 * KB
         assert rt.runtime_of_class(4096).config.local_memory == 768 * KB
+
+
+def test_per_site_sizes_beat_every_single_size():
+    # Hashmap lookups (want 64 B) + a streamed 8 MB key trace (wants 4 KB).
+    result = ablation_multisize()
+    small, big, multi = result.get("cycles").values
+    assert multi < small and multi < big
+    small_bytes, big_bytes, multi_bytes = result.get("bytes fetched").values
+    assert multi_bytes <= small_bytes < big_bytes
 
 
 def build_mixed_program(n=50_000):

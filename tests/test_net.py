@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.ablations import ablation_prefetch_depth
 from repro.errors import RuntimeConfigError
 from repro.net.backends import make_rdma_backend, make_tcp_backend
 from repro.net.faults import FAULT_SPEC_KEYS, FaultPlan, parse_fault_spec
@@ -124,6 +125,12 @@ class TestBackendsCalibration:
     def test_small_fetches_latency_dominated(self):
         tcp = make_tcp_backend()
         assert tcp.fetch_cost(64) > 0.85 * tcp.fetch_cost(4096)
+
+    def test_tcp_prefetch_depth_pays(self):
+        # Per-4KB-object fetch cost at pipeline depths 1..32.
+        costs = ablation_prefetch_depth().get("fetch cycles").values
+        assert costs == sorted(costs, reverse=True)
+        assert costs[0] / costs[-1] > 5  # deep pipelining pays
 
     def test_fetch_and_evict_account_bytes(self):
         tcp = make_tcp_backend()

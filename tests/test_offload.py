@@ -3,6 +3,7 @@
 import pytest
 
 from repro.aifm.pool import PoolConfig
+from repro.bench.ablations import ablation_offload
 from repro.compiler import ChunkingPolicy, CompilerConfig, TrackFMCompiler
 from repro.compiler.guard_analysis import GuardAnalysisPass
 from repro.compiler.offload import OffloadPass, find_offload_candidates
@@ -164,6 +165,14 @@ class TestTransform:
         # loop replaces its entire fetch traffic with one 64B message.
         assert offload_metrics.bytes_fetched < fetch_metrics.bytes_fetched * 0.6
         assert offload_metrics.cycles < fetch_metrics.cycles
+
+    def test_offloaded_reduce_beats_fetch_and_sum(self):
+        # 256 KB summed once through 16 KB of local memory.
+        result = ablation_offload()
+        fetch, offload = result.get("cycles").values
+        fetch_bytes, offload_bytes = result.get("bytes fetched").values
+        assert offload < fetch / 3
+        assert offload_bytes < fetch_bytes / 100
 
     def test_offload_flushes_dirty_objects(self):
         n = 8192

@@ -7,6 +7,7 @@ closed-form accounting lets us check them at the *unscaled* sizes.
 import pytest
 
 from repro.aifm.pool import PoolConfig
+from repro.bench.ablations import ablation_state_table
 from repro.machine.costs import AccessKind, DEFAULT_COSTS, GuardKind
 from repro.trackfm.runtime import GuardStrategy, TrackFMRuntime
 from repro.units import GB, KB, MB
@@ -83,6 +84,12 @@ class TestSection32StateTable:
         table = ObjectStateTable(pool)
         assert table.num_entries == 2**23
         assert table.size_bytes == 64 * MB
+
+    def test_one_metadata_reference_beats_two(self):
+        # Naive STREAM guards: the table's indexed load vs AIFM's second
+        # dependent metadata reference.
+        with_table, without = ablation_state_table().get("total cycles").values
+        assert without > 1.3 * with_table
 
 
 class TestSection33InstructionCounts:

@@ -6,6 +6,7 @@ from repro.errors import EvacuationError, InterpError, RuntimeConfigError, Segme
 from repro.ir.types import F64, I32, I64
 from repro.sim.memory import AddressSpace
 from repro.sim.residency import ResidencySet
+from repro.workloads.zipf import ZipfGenerator
 
 
 class TestResidencyLRU:
@@ -129,6 +130,19 @@ class TestResidencyClock:
         # CLOCK clears 1's hot bit and evicts 2 (cold).
         assert out.evicted == [(2, False)]
         assert 1 in rs
+
+    def test_clock_never_misses_more_than_lru_on_zipf(self):
+        # Zipf 1.05 over 4096 objects at four local capacities.
+        n_objects, n_accesses = 4096, 60_000
+        trace = ZipfGenerator(n_objects, 1.05, seed=42).sample(n_accesses)
+
+        def miss_rate(capacity, use_clock):
+            rs = ResidencySet(capacity, use_clock=use_clock)
+            return sum(0 if rs.access(int(o)).hit else 1 for o in trace) / n_accesses
+
+        for frac in (0.05, 0.1, 0.25, 0.5):
+            capacity = max(1, int(n_objects * frac))
+            assert miss_rate(capacity, True) <= miss_rate(capacity, False) + 1e-9
 
     def test_clock_with_pins(self):
         rs = ResidencySet(capacity=2, use_clock=True)
