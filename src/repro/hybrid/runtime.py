@@ -351,8 +351,9 @@ class AdaptiveHybridRuntime(TrackFMRuntime):
         # stable, mutable object (the interpreter bridge mutates it).
         page_bundle = self.fastswap.metrics
         self.fastswap.metrics = self.pool.metrics
-        if self.fastswap.backend.metrics is page_bundle:
-            self.fastswap.backend.metrics = self.pool.metrics
+        for sink in (self.fastswap.backend, self.fastswap.backend.integrity):
+            if sink is not None and sink.metrics is page_bundle:
+                sink.metrics = self.pool.metrics
         #: One region per page, so region shadows stay page-aligned.
         self.region_bytes = self.fastswap.page_size
         self.epoch_accesses = epoch_accesses

@@ -21,6 +21,7 @@ from repro.hybrid.runtime import HybridRuntime, Placement
 from repro.integrity import IntegrityConfig, RecordKind, default_integrity_config
 from repro.machine.costs import AccessKind
 from repro.net.faults import FaultPlan
+from repro.runtimes import RUNTIME_KINDS
 from repro.trace.drivers import run_traced
 from repro.trackfm.runtime import TrackFMRuntime
 from repro.units import KB, MB
@@ -255,9 +256,9 @@ CORRUPTING = FaultPlan(
 
 
 class TestCorruptionDifferential:
-    """Never-silently-wrong, pinned across all four runtime models."""
+    """Never-silently-wrong, pinned across every runtime kind."""
 
-    @pytest.mark.parametrize("runtime", ["trackfm", "aifm", "fastswap", "hybrid"])
+    @pytest.mark.parametrize("runtime", RUNTIME_KINDS)
     def test_corrupted_run_matches_clean_or_raises(self, runtime):
         clean = run_traced("hashmap", runtime, seed=3)
         try:
@@ -278,7 +279,7 @@ class TestCorruptionDifferential:
             == m.corruptions_repaired + m.quarantined_objects
         )
 
-    @pytest.mark.parametrize("runtime", ["trackfm", "aifm", "fastswap", "hybrid"])
+    @pytest.mark.parametrize("runtime", RUNTIME_KINDS)
     def test_integrity_without_faults_changes_no_values(self, runtime):
         clean = run_traced("stream", runtime, seed=1)
         checked = run_traced(
