@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.gate import baseline_path
-from repro.bench.regress import GATE, WORKLOADS, fingerprint_run, measure_ops
+from repro.bench.regress import GATE, WORKLOADS, fingerprint_run, measure_engines
 
 BASELINE_DIR = Path(__file__).parent / "baselines"
 
@@ -30,14 +30,15 @@ MIN_STREAM_SPEEDUP = 3.0
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_interp_ops_per_sec(benchmark, name):
-    """Steady-state decoded-engine interpretation rate."""
+    """Steady-state decoded-engine interpretation rate, timed alternately
+    with the legacy engine so the speedup sees the same host."""
     build = WORKLOADS[name]
 
     def run():
-        return measure_ops(build, "decoded", repeats=3)
+        return measure_engines(build, ("decoded", "legacy"), repeats=3)
 
-    decoded = benchmark.pedantic(run, rounds=1, iterations=1)
-    legacy = measure_ops(build, "legacy", repeats=3)
+    rates = benchmark.pedantic(run, rounds=1, iterations=1)
+    decoded, legacy = rates["decoded"], rates["legacy"]
     speedup = decoded["ops_per_sec"] / legacy["ops_per_sec"]
     benchmark.extra_info["ops_per_sec"] = decoded["ops_per_sec"]
     benchmark.extra_info["legacy_ops_per_sec"] = legacy["ops_per_sec"]
