@@ -185,7 +185,7 @@ class AIFMRuntime(PooledRuntime):
         self.metrics.cycles += cycles
         return cycles
 
-    # -- bulk helper used by the executor for closed-form scans --------------
+    # -- closed-form bulk scan ---------------------------------------------
 
     def sequential_scan(
         self,

@@ -10,6 +10,7 @@ changes.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -77,8 +78,10 @@ class IntegrityConfig:
     def __post_init__(self) -> None:
         if self.max_refetches < 0:
             raise RuntimeConfigError("max_refetches must be >= 0")
-        if self.verify_cycles < 0:
-            raise RuntimeConfigError("verify_cycles must be >= 0")
+        if not 0 <= self.verify_cycles < math.inf:
+            raise RuntimeConfigError(
+                f"verify_cycles must be finite and >= 0, got {self.verify_cycles}"
+            )
         if self.crash_at_record is not None and self.crash_at_record < 1:
             raise RuntimeConfigError("crash_at_record must be >= 1")
         if self.crash_kind not in CRASH_KINDS:

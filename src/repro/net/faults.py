@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Tuple
 
@@ -134,8 +135,11 @@ class FaultPlan:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise RuntimeConfigError(f"{name} must be in [0, 1], got {rate}")
-        if self.spike_cycles < 0 or self.jitter_cycles < 0:
-            raise RuntimeConfigError("spike/jitter cycles must be >= 0")
+        for cycles in (self.spike_cycles, self.jitter_cycles):
+            if not 0 <= cycles < math.inf:
+                raise RuntimeConfigError(
+                    f"spike/jitter cycles must be finite and >= 0, got {cycles}"
+                )
         for start, end in self.pause_windows:
             if start < 0 or end <= start:
                 raise RuntimeConfigError(
@@ -252,17 +256,6 @@ class FaultStats:
     @property
     def corruptions(self) -> int:
         return self.bitflips + self.stale_reads + self.torn_writes + self.lost_writebacks
-
-    def reset(self) -> None:
-        self.messages = 0
-        self.drops = 0
-        self.pauses = 0
-        self.spikes = 0
-        self.extra_cycles = 0.0
-        self.bitflips = 0
-        self.stale_reads = 0
-        self.torn_writes = 0
-        self.lost_writebacks = 0
 
 
 class FaultSchedule:

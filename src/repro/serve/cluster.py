@@ -58,7 +58,7 @@ exactly as a real cgroup-per-machine deployment would.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import DataIntegrityError, RuntimeConfigError
@@ -66,7 +66,7 @@ from repro.machine.costs import AccessKind
 from repro.net.backends import make_shard_backend
 from repro.net.faults import FaultPlan
 from repro.runtimes import RUNTIME_KINDS, TIERS, build_runtime
-from repro.sim.metrics import Metrics
+from repro.sim.metrics import Metrics, counters_as_dict, sparse
 from repro.trace.histogram import StreamingHistogram
 from repro.trace.tracer import NULL_TRACER
 from repro.serve.replication import (
@@ -379,12 +379,6 @@ class RequestResult:
     acks: int = 0
 
 
-#: The :class:`ClusterStats` counters serialized only when nonzero.
-_SPARSE_STATS = frozenset(
-    ("failovers", "promoted_keys", "healed_stale_replicas", "partitions")
-)
-
-
 @dataclass
 class ClusterStats:
     """Cluster-level event counters (shard metrics live on the shards)."""
@@ -403,19 +397,16 @@ class ClusterStats:
     #: Replication counters — serialized sparsely (only when nonzero)
     #: so unreplicated reports keep their historical exact form.
     #: Dead shards failed over (surviving replicas promoted).
-    failovers: int = 0
+    failovers: int = sparse()
     #: Replica copies materialized on new replica-set members at failover.
-    promoted_keys: int = 0
+    promoted_keys: int = sparse()
     #: Stale replicas reconciled by anti-entropy sweeps.
-    healed_stale_replicas: int = 0
+    healed_stale_replicas: int = sparse()
     #: Gray partitions injected (data links cut, heartbeats alive).
-    partitions: int = 0
+    partitions: int = sparse()
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            f.name: getattr(self, f.name) for f in fields(self)
-            if getattr(self, f.name) or f.name not in _SPARSE_STATS
-        }
+        return counters_as_dict(self)
 
 
 class ShardedCluster:

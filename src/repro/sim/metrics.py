@@ -4,26 +4,102 @@ Everything the paper's figures plot comes from these counters: simulated
 cycles (execution time), guard counts by kind (Fig. 14b, 16b), page
 faults (Fig. 14b), and bytes moved over the network (Fig. 13b, 16c —
 I/O amplification).
+
+A counter is declared once, as a :class:`Metrics` field; ``merge``,
+``reset``, ``snapshot`` and the ``as_dict``/``from_dict`` wire form all
+derive from the field table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields, replace
 from typing import Dict, Iterable
 
 from repro.machine.costs import GuardKind
 
 
+def sparse() -> Field:
+    """A zero-initialized counter field :func:`counters_as_dict` emits
+    only when nonzero.
+
+    Fault-free runs never move these counters, so leaving them out keeps
+    the exact serialization older baselines and goldens pinned.
+    """
+    return field(default=0, metadata={"sparse": True})
+
+
+def _keys(f: Field):
+    """The enum a per-key counter field is keyed by (None for scalars)."""
+    return f.metadata.get("keys")
+
+
+def counters_as_dict(bundle) -> Dict[str, object]:
+    """A counter dataclass in canonical JSON-safe form, in field order.
+
+    Per-key counters are keyed by their enum value strings and sorted,
+    so equal bundles serialize identically; :func:`sparse` fields appear
+    only when nonzero.
+    """
+    out: Dict[str, object] = {}
+    for f in fields(bundle):
+        value = getattr(bundle, f.name)
+        if _keys(f) is not None:
+            out[f.name] = {
+                key.value: n
+                for key, n in sorted(value.items(), key=lambda kv: kv[0].value)
+            }
+        elif value or not f.metadata.get("sparse"):
+            out[f.name] = value
+    return out
+
+
+def _with_unrolled_merge(cls):
+    """Install ``cls.merge``, one line per field, generated at import.
+
+    Like the ``__init__`` :mod:`dataclasses` builds: a per-name
+    ``getattr``/``setattr`` loop made every merge (``HybridRuntime.metrics``
+    runs three per read) about 2.5x slower.
+    """
+    body = []
+    for f in fields(cls):
+        if _keys(f) is not None:
+            # A key ``other`` holds at zero is not materialized here: the
+            # merged bundle must serialize like a fresh one (the exact
+            # ``BENCH_*.json`` fingerprints aggregate per-shard metrics).
+            body += [
+                f"    mine = self.{f.name}",
+                f"    for key, n in other.{f.name}.items():",
+                "        if n:",
+                "            mine[key] = mine.get(key, 0) + n",
+            ]
+        else:
+            body.append(f"    self.{f.name} += other.{f.name}")
+    namespace: Dict[str, object] = {}
+    exec("def merge(self, other):\n" + "\n".join(body), namespace)
+    merge = namespace["merge"]
+    merge.__module__ = cls.__module__
+    merge.__qualname__ = f"{cls.__qualname__}.merge"
+    merge.__doc__ = """Fold ``other`` into this bundle, preserving sparseness."""
+    cls.merge = merge
+    return cls
+
+
+@_with_unrolled_merge
 @dataclass
 class Metrics:
-    """Counter bundle; one per runtime instance."""
+    """Counter bundle; one per runtime instance.
+
+    Declaration order is the serialized key order.
+    """
 
     #: Total simulated cycles charged.
     cycles: float = 0.0
     #: Memory accesses observed (loads + stores).
     accesses: int = 0
     #: Guard executions by kind (TrackFM runtimes).
-    guards: Dict[GuardKind, int] = field(default_factory=dict)
+    guards: Dict[GuardKind, int] = field(
+        default_factory=dict, metadata={"keys": GuardKind}
+    )
     #: Page faults (Fastswap): minor = swap-cache hit, major = remote.
     minor_faults: int = 0
     major_faults: int = 0
@@ -40,40 +116,40 @@ class Metrics:
     prefetches_useful: int = 0
     #: Resilience counters (fault injection, ``repro.net.faults``).
     #: Messages lost on the wire (drops + pause windows).
-    drops: int = 0
+    drops: int = sparse()
     #: Loss-detection timeouts charged by the retry policy.
-    timeouts: int = 0
+    timeouts: int = sparse()
     #: Retries granted by the retry policy.
-    retries: int = 0
+    retries: int = sparse()
     #: Accesses served locally because the remote tier was unavailable.
-    degraded_accesses: int = 0
+    degraded_accesses: int = sparse()
     #: Dirty writebacks deferred because the remote tier was unavailable.
-    deferred_writebacks: int = 0
+    deferred_writebacks: int = sparse()
     #: Integrity counters (checksum verification, ``repro.integrity``).
     #: Payloads that failed checksum verification on fetch.
-    corruptions_detected: int = 0
+    corruptions_detected: int = sparse()
     #: Corruptions repaired by bounded re-fetch / journal re-drive.
-    corruptions_repaired: int = 0
+    corruptions_repaired: int = sparse()
     #: Objects quarantined after the repair budget was exhausted.
-    quarantined_objects: int = 0
+    quarantined_objects: int = sparse()
     #: Writebacks re-driven from the evacuation journal (repair + recovery).
-    journal_replays: int = 0
+    journal_replays: int = sparse()
     #: Adaptive-hybrid counters (``repro.hybrid`` path selector).
     #: Regions whose selected tier flipped at a rebalance epoch.
-    tier_switches: int = 0
+    tier_switches: int = sparse()
     #: Objects physically moved between tiers by those flips.
-    objects_migrated: int = 0
+    objects_migrated: int = sparse()
     #: Replication counters (``repro.serve`` quorum paths).
     #: Secondary-replica write applications (beyond the coordinator's).
-    replica_writes: int = 0
+    replica_writes: int = sparse()
     #: Reads that consulted a read quorum of replicas.
-    quorum_reads: int = 0
+    quorum_reads: int = sparse()
     #: Stale replicas healed inline by a divergent quorum read.
-    read_repairs: int = 0
+    read_repairs: int = sparse()
     #: Dead shards failed over (surviving replicas promoted).
-    failovers: int = 0
+    failovers: int = sparse()
     #: Stale replicas reconciled by the background anti-entropy sweep.
-    stale_replicas_healed: int = 0
+    stale_replicas_healed: int = sparse()
 
     def count_guard(self, kind: GuardKind, n: int = 1) -> None:
         self.guards[kind] = self.guards.get(kind, 0) + n
@@ -104,188 +180,47 @@ class Metrics:
             return 0.0
         return self.total_bytes_transferred / working_set_bytes
 
-    def merge(self, other: "Metrics") -> None:
-        """Fold ``other`` into this metrics bundle.
-
-        Sparseness-preserving: a guard kind ``other`` holds at zero is
-        *not* materialized here.  Aggregating per-shard metrics must not
-        grow explicit zero entries, or ``as_dict`` (which emits every
-        present guard key) would serialize differently from a fresh
-        bundle — breaking the exact ``BENCH_*.json`` fingerprints.
-        """
-        self.cycles += other.cycles
-        self.accesses += other.accesses
-        for kind, n in other.guards.items():
-            if n:
-                self.count_guard(kind, n)
-        self.minor_faults += other.minor_faults
-        self.major_faults += other.major_faults
-        self.remote_fetches += other.remote_fetches
-        self.bytes_fetched += other.bytes_fetched
-        self.bytes_evacuated += other.bytes_evacuated
-        self.evictions += other.evictions
-        self.prefetches_issued += other.prefetches_issued
-        self.prefetches_useful += other.prefetches_useful
-        self.drops += other.drops
-        self.timeouts += other.timeouts
-        self.retries += other.retries
-        self.degraded_accesses += other.degraded_accesses
-        self.deferred_writebacks += other.deferred_writebacks
-        self.corruptions_detected += other.corruptions_detected
-        self.corruptions_repaired += other.corruptions_repaired
-        self.quarantined_objects += other.quarantined_objects
-        self.journal_replays += other.journal_replays
-        self.tier_switches += other.tier_switches
-        self.objects_migrated += other.objects_migrated
-        self.replica_writes += other.replica_writes
-        self.quorum_reads += other.quorum_reads
-        self.read_repairs += other.read_repairs
-        self.failovers += other.failovers
-        self.stale_replicas_healed += other.stale_replicas_healed
-
     def reset(self) -> None:
-        self.cycles = 0.0
-        self.accesses = 0
-        self.guards.clear()
-        self.minor_faults = 0
-        self.major_faults = 0
-        self.remote_fetches = 0
-        self.bytes_fetched = 0
-        self.bytes_evacuated = 0
-        self.evictions = 0
-        self.prefetches_issued = 0
-        self.prefetches_useful = 0
-        self.drops = 0
-        self.timeouts = 0
-        self.retries = 0
-        self.degraded_accesses = 0
-        self.deferred_writebacks = 0
-        self.corruptions_detected = 0
-        self.corruptions_repaired = 0
-        self.quarantined_objects = 0
-        self.journal_replays = 0
-        self.tier_switches = 0
-        self.objects_migrated = 0
-        self.replica_writes = 0
-        self.quorum_reads = 0
-        self.read_repairs = 0
-        self.failovers = 0
-        self.stale_replicas_healed = 0
+        """Zero every counter (per-key dicts are cleared in place)."""
+        for f in fields(self):
+            if _keys(f) is not None:
+                getattr(self, f.name).clear()
+            else:
+                setattr(self, f.name, f.default)
 
     def snapshot(self) -> "Metrics":
         """A copy of the current counters."""
-        copy = Metrics(
-            cycles=self.cycles,
-            accesses=self.accesses,
-            guards=dict(self.guards),
-            minor_faults=self.minor_faults,
-            major_faults=self.major_faults,
-            remote_fetches=self.remote_fetches,
-            bytes_fetched=self.bytes_fetched,
-            bytes_evacuated=self.bytes_evacuated,
-            evictions=self.evictions,
-            prefetches_issued=self.prefetches_issued,
-            prefetches_useful=self.prefetches_useful,
-            drops=self.drops,
-            timeouts=self.timeouts,
-            retries=self.retries,
-            degraded_accesses=self.degraded_accesses,
-            deferred_writebacks=self.deferred_writebacks,
-            corruptions_detected=self.corruptions_detected,
-            corruptions_repaired=self.corruptions_repaired,
-            quarantined_objects=self.quarantined_objects,
-            journal_replays=self.journal_replays,
-            tier_switches=self.tier_switches,
-            objects_migrated=self.objects_migrated,
-            replica_writes=self.replica_writes,
-            quorum_reads=self.quorum_reads,
-            read_repairs=self.read_repairs,
-            failovers=self.failovers,
-            stale_replicas_healed=self.stale_replicas_healed,
+        return replace(
+            self,
+            **{
+                f.name: dict(getattr(self, f.name))
+                for f in fields(self) if _keys(f) is not None
+            },
         )
-        return copy
 
     def as_dict(self) -> Dict[str, object]:
         """The canonical JSON-safe form, shared by benchmarks and traces.
 
         Guard counts are keyed by :class:`GuardKind` value strings and
-        sorted, so equal metrics serialize identically.  Resilience
-        counters are emitted *only when nonzero*: fault-free runs keep
-        the exact serialization older baselines and goldens pinned.
+        sorted.  Resilience, integrity, adaptive and replication counters
+        are emitted *only when nonzero*: fault-free runs keep the exact
+        serialization older baselines and goldens pinned.
         """
-        out: Dict[str, object] = {
-            "cycles": self.cycles,
-            "accesses": self.accesses,
-            "guards": {
-                kind.value: n
-                for kind, n in sorted(self.guards.items(), key=lambda kv: kv[0].value)
-            },
-            "minor_faults": self.minor_faults,
-            "major_faults": self.major_faults,
-            "remote_fetches": self.remote_fetches,
-            "bytes_fetched": self.bytes_fetched,
-            "bytes_evacuated": self.bytes_evacuated,
-            "evictions": self.evictions,
-            "prefetches_issued": self.prefetches_issued,
-            "prefetches_useful": self.prefetches_useful,
-        }
-        for key in (
-            "drops",
-            "timeouts",
-            "retries",
-            "degraded_accesses",
-            "deferred_writebacks",
-            "corruptions_detected",
-            "corruptions_repaired",
-            "quarantined_objects",
-            "journal_replays",
-            "tier_switches",
-            "objects_migrated",
-            "replica_writes",
-            "quorum_reads",
-            "read_repairs",
-            "failovers",
-            "stale_replicas_healed",
-        ):
-            value = getattr(self, key)
-            if value:
-                out[key] = value
-        return out
+        return counters_as_dict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "Metrics":
         """Inverse of :meth:`as_dict` (lossless round-trip)."""
-        m = cls(
-            cycles=float(data.get("cycles", 0.0)),
-            accesses=int(data.get("accesses", 0)),
-            minor_faults=int(data.get("minor_faults", 0)),
-            major_faults=int(data.get("major_faults", 0)),
-            remote_fetches=int(data.get("remote_fetches", 0)),
-            bytes_fetched=int(data.get("bytes_fetched", 0)),
-            bytes_evacuated=int(data.get("bytes_evacuated", 0)),
-            evictions=int(data.get("evictions", 0)),
-            prefetches_issued=int(data.get("prefetches_issued", 0)),
-            prefetches_useful=int(data.get("prefetches_useful", 0)),
-            drops=int(data.get("drops", 0)),
-            timeouts=int(data.get("timeouts", 0)),
-            retries=int(data.get("retries", 0)),
-            degraded_accesses=int(data.get("degraded_accesses", 0)),
-            deferred_writebacks=int(data.get("deferred_writebacks", 0)),
-            corruptions_detected=int(data.get("corruptions_detected", 0)),
-            corruptions_repaired=int(data.get("corruptions_repaired", 0)),
-            quarantined_objects=int(data.get("quarantined_objects", 0)),
-            journal_replays=int(data.get("journal_replays", 0)),
-            tier_switches=int(data.get("tier_switches", 0)),
-            objects_migrated=int(data.get("objects_migrated", 0)),
-            replica_writes=int(data.get("replica_writes", 0)),
-            quorum_reads=int(data.get("quorum_reads", 0)),
-            read_repairs=int(data.get("read_repairs", 0)),
-            failovers=int(data.get("failovers", 0)),
-            stale_replicas_healed=int(data.get("stale_replicas_healed", 0)),
-        )
-        for key, n in dict(data.get("guards", {})).items():
-            if int(n):
-                m.count_guard(GuardKind(key), int(n))
+        m = cls()
+        for f in fields(cls):
+            keys = _keys(f)
+            if keys is None:
+                setattr(m, f.name, type(f.default)(data.get(f.name, f.default)))
+                continue
+            counts = getattr(m, f.name)
+            for key, n in dict(data.get(f.name, {})).items():
+                if int(n):
+                    counts[keys(key)] = int(n)
         return m
 
     @classmethod

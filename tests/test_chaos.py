@@ -164,7 +164,9 @@ class TestFaultSpecParsing:
         assert parse_fault_spec("").is_noop
 
     def test_bad_specs(self):
-        for spec in ("drop", "bogus=1", "drop=x", "pause=5"):
+        for spec in (
+            "drop", "bogus=1", "drop=x", "pause=5", "jitter=inf", "spike=0.5:nan",
+        ):
             with pytest.raises(RuntimeConfigError):
                 parse_fault_spec(spec)
 

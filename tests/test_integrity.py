@@ -122,7 +122,10 @@ class TestIntegritySpecParsing:
             assert key in message
 
     def test_bad_values(self):
-        for spec in ("seed=x", "refetch=-1", "crash=0", "crash=3:bogus", "seed"):
+        for spec in (
+            "seed=x", "refetch=-1", "crash=0", "crash=3:bogus", "seed",
+            "verify=nan", "verify=inf",
+        ):
             with pytest.raises(RuntimeConfigError):
                 parse_integrity_spec(spec)
 

@@ -4,13 +4,15 @@ Hypothesis-generated counter bundles and sample streams check the
 algebra the observability layer leans on: ``merge`` is associative and
 commutative, ``snapshot`` isolates, ``as_dict``/``from_dict`` round-trip
 losslessly, histogram percentiles are monotone, and merging histograms
-equals recording the concatenated stream.
+equals recording the concatenated stream.  The Metrics strategy is
+built from the dataclass fields, so every counter is exercised.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,15 +20,9 @@ from repro.machine.costs import GuardKind
 from repro.sim.metrics import Metrics
 from repro.trace import StreamingHistogram
 
-_COUNTER_FIELDS = (
-    "accesses", "minor_faults", "major_faults", "remote_fetches",
-    "bytes_fetched", "bytes_evacuated", "evictions",
-    "prefetches_issued", "prefetches_useful",
-    "drops", "timeouts", "retries", "degraded_accesses",
-    "deferred_writebacks",
-    "corruptions_detected", "corruptions_repaired",
-    "quarantined_objects", "journal_replays",
-)
+#: Every integer counter, read from the dataclass so that a new field is
+#: covered as soon as it is declared.
+_COUNTER_FIELDS = tuple(f.name for f in fields(Metrics) if type(f.default) is int)
 
 metrics_strategy = st.builds(
     lambda cycles, counters, guards: _make_metrics(cycles, counters, guards),
@@ -52,6 +48,11 @@ def _make_metrics(cycles, counters, guards) -> Metrics:
     return m
 
 
+def test_strategy_covers_every_field():
+    declared = {f.name for f in fields(Metrics)}
+    assert declared == {"cycles", "guards", *_COUNTER_FIELDS}
+
+
 def _equal(a: Metrics, b: Metrics) -> bool:
     return a.as_dict() == b.as_dict()
 
@@ -70,6 +71,17 @@ class TestMetricsAlgebra:
         ba = b.snapshot()
         ba.merge(a)
         assert _equal(ab, ba)
+
+    @given(metrics_strategy, metrics_strategy)
+    @settings(max_examples=50, deadline=None)
+    def test_merge_adds_every_counter(self, a, b):
+        ab = Metrics.aggregate([a, b])
+        for f in fields(Metrics):
+            if f.name == "guards":
+                for kind in GuardKind:
+                    assert ab.guard_count(kind) == a.guard_count(kind) + b.guard_count(kind)
+            else:
+                assert getattr(ab, f.name) == getattr(a, f.name) + getattr(b, f.name)
 
     @given(metrics_strategy, metrics_strategy, metrics_strategy)
     @settings(max_examples=50, deadline=None)
@@ -111,6 +123,25 @@ class TestMetricsAlgebra:
         back = Metrics.from_dict(json.loads(wire))
         assert _equal(m, back)
         assert back.guards == m.guards
+
+
+class TestSerializedOrder:
+    """``as_dict`` keys follow declaration order (the Chrome export and
+    the baselines write them unsorted; dict equality ignores order)."""
+
+    def test_fresh_bundle(self):
+        assert list(Metrics().as_dict()) == [
+            "cycles", "accesses", "guards", "minor_faults", "major_faults",
+            "remote_fetches", "bytes_fetched", "bytes_evacuated", "evictions",
+            "prefetches_issued", "prefetches_useful",
+        ]
+
+    def test_fully_populated_bundle(self):
+        m = Metrics(**{f.name: 1 for f in fields(Metrics) if f.name != "guards"})
+        for kind in GuardKind:
+            m.count_guard(kind)
+        assert list(m.as_dict()) == [f.name for f in fields(Metrics)]
+        assert list(m.as_dict()["guards"]) == sorted(k.value for k in GuardKind)
 
 
 class TestHistogramProperties:
